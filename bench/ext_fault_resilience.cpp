@@ -84,19 +84,19 @@ int main(int argc, char** argv) {
   const sim::SimTime t_eval = sim::seconds(120.0);
 
   const double crash_rates[] = {0.0, 0.02, 0.05, 0.1};  // per board-second
+  using Recovery = cluster::RecoveryOptions::Mode;
   struct Mode {
     const char* name;
-    bool enable_recovery;
-    bool kill_restart;
+    Recovery recovery;
     bool checkpoint;
     bool delta;
   };
   const std::vector<Mode> all_modes = {
-      {"no-recovery", false, false, false, false},
-      {"kill-restart", true, true, false, false},
-      {"recovery", true, false, false, false},
-      {"checkpoint", true, false, true, false},
-      {"ckpt-delta", true, false, true, true},
+      {"no-recovery", Recovery::kNone, false, false},
+      {"kill-restart", Recovery::kKillRestart, false, false},
+      {"recovery", Recovery::kEvacuate, false, false},
+      {"checkpoint", Recovery::kEvacuate, true, false},
+      {"ckpt-delta", Recovery::kEvacuate, true, true},
   };
   const std::string mode_filter = args.get("recovery");
   std::vector<Mode> modes;
@@ -123,11 +123,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Correlated failure-domain sweep (--racks N, optional --rack-rate R,
-  // --kernel-jobs W / VS_KERNEL_JOBS): N racks of one OL + one BL board
-  // each — every rack spans both pools (a shared PSU feeding the failover
-  // pair), so a rack event is the worst case for spare-pool failover: the
-  // origin AND its preferred destination die inside one detection window.
+  // Correlated failure-domain sweep (--racks N, optional --rack-rate R):
+  // N racks of one OL + one BL board each — every rack spans both pools (a
+  // shared PSU feeding the failover pair), so a rack event is the worst
+  // case for spare-pool failover: the origin AND its preferred destination
+  // die inside one detection window.
   // Rack events fire from the "rack/<domain>" hazard streams at increasing
   // per-rack rates, plus a scripted rack event on rack 0 at t=2s so every
   // nonzero rate lands a guaranteed common-mode hit. The recovery mode
@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
   // ext_fault_resilience_rack.csv; the default independent-hazard sweep
   // above (and its committed CSV) is untouched by this path.
   const int racks = static_cast<int>(args.get_int("racks", 0));
-  const int kernel_jobs = util::resolve_kernel_jobs(&args);
   if (racks > 0) {
     std::vector<double> rack_rates = {0.0, 0.02, 0.05, 0.1};  // per rack-s
     const double rate_arg = args.get_double("rack-rate", -1.0);
@@ -181,10 +180,8 @@ int main(int argc, char** argv) {
           const std::size_t seq = i % n_seqs;
           cluster::ClusterOptions options;
           options.boards_per_config = racks;
-          options.kernel_workers = kernel_jobs;
           options.faults = rack_scenario(rate, seq);
-          options.recovery.enable_recovery = mode.enable_recovery;
-          options.recovery.kill_restart = mode.kill_restart;
+          options.recovery.mode = mode.recovery;
           options.checkpoint.enabled = mode.checkpoint;
           options.checkpoint.delta = mode.delta;
           options.checkpoint.interval = sim::ms(ckpt_interval_ms);
@@ -192,7 +189,7 @@ int main(int argc, char** argv) {
           // Only recovering modes throttle: no-recovery/kill-restart keep
           // their baseline admission, matching the mode definitions above.
           options.recovery.throttle =
-              mode.enable_recovery && !mode.kill_restart
+              mode.recovery == Recovery::kEvacuate
                   ? throttle
                   : cluster::RecoveryOptions::Throttle::kOff;
           return metrics::run_cluster(suite, sequences[seq], options);
@@ -306,7 +303,6 @@ int main(int argc, char** argv) {
       obs::Telemetry telemetry;
       cluster::ClusterOptions options;
       options.boards_per_config = racks;
-      options.kernel_workers = kernel_jobs;
       options.faults = rack_scenario(rack_rates.back(), 0);
       options.recovery.throttle = throttle;
       (void)metrics::run_cluster(suite, sequences[0], options,
@@ -353,8 +349,7 @@ int main(int argc, char** argv) {
         const std::size_t seq = i % n_seqs;
         cluster::ClusterOptions options;
         options.faults = scenario_for(rate, seq);
-        options.recovery.enable_recovery = mode.enable_recovery;
-        options.recovery.kill_restart = mode.kill_restart;
+        options.recovery.mode = mode.recovery;
         // Checkpointing stays on at rate 0 too: the mode's fault-free
         // baseline carries the snapshot overhead, so the inflation column
         // never hides the checkpoint cost.
@@ -523,7 +518,7 @@ int main(int argc, char** argv) {
     cluster::ClusterOptions options;
     options.faults =
         scenario_for(crash_rates[std::size(crash_rates) - 1], 0);
-    options.recovery.enable_recovery = true;
+    options.recovery.mode = cluster::RecoveryOptions::Mode::kEvacuate;
     options.checkpoint.enabled = true;
     options.checkpoint.delta = true;
     options.checkpoint.interval = sim::ms(ckpt_interval_ms);

@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
 # Repository check gate: the tier-1 build + full test suite, a smoke run of
 # the substrate micro-benchmarks (which carry the event kernel's
-# zero-allocation probe, including the telemetry-handle overhead bench) and
-# of the telemetry demo + its three exporters, then sanitizer passes:
-# ThreadSanitizer over the parallel sweep runner (the only multi-threaded
-# code in the repo) and AddressSanitizer over the event-kernel and
-# telemetry tests (the slab queue and InlineEvent do placement-new lifetime
-# management by hand; the registry hands out long-lived cell pointers).
-# Run from the repository root:
+# zero-allocation probe, including the telemetry-handle overhead bench), the
+# telemetry demo and the export smokes of the fault, checkpoint, trace,
+# serving and rack benches, then the golden gate: the committed CSVs at the
+# repository root are regenerated in a temporary directory and must match
+# byte for byte. Sanitizer passes follow: ThreadSanitizer over the suites
+# that start threads (the parallel sweep runner and its users),
+# AddressSanitizer and UndefinedBehaviorSanitizer over the event-kernel,
+# telemetry, fault, checkpoint and serving tests (the slab queue and
+# InlineEvent do placement-new lifetime management by hand; the registry
+# hands out long-lived cell pointers). Last, the coverage gate. Run from the
+# repository root:
 #
-#   scripts/check.sh              # everything
-#   SKIP_TSAN=1 scripts/check.sh  # skip the TSan pass
-#   SKIP_ASAN=1 scripts/check.sh  # skip the ASan pass
-#   SKIP_COV=1 scripts/check.sh   # skip the coverage gate
+#   scripts/check.sh               # everything
+#   SKIP_TSAN=1 scripts/check.sh   # skip the TSan pass
+#   SKIP_ASAN=1 scripts/check.sh   # skip the ASan pass
+#   SKIP_UBSAN=1 scripts/check.sh  # skip the UBSan pass
+#   SKIP_COV=1 scripts/check.sh    # skip the coverage gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,16 +42,17 @@ test -s build/telemetry_demo_smoke.jsonl
 test -s build/telemetry_demo_smoke.report.json
 
 echo "== fault-injection smoke (recovery metrics in exports) =="
-cmake --build build -j "$JOBS" --target ext_fault_resilience
-./build/bench/ext_fault_resilience --apps 12 --seqs 1 \
-  --metrics-out build/fault_smoke >/dev/null
+# The fault smokes run from build/ so the CSV each writes cannot clobber
+# the committed ext_fault_resilience.csv at the repo root.
+(cd build && ./bench/ext_fault_resilience --apps 12 --seqs 1 \
+  --metrics-out fault_smoke >/dev/null)
 grep -q 'vs_recovery_mttr_ms' build/fault_smoke.prom
 grep -q 'vs_faults_injected_total' build/fault_smoke.prom
 grep -q 'vs_board_available' build/fault_smoke.prom
 
 echo "== checkpoint smoke (snapshot metrics in exports) =="
-./build/bench/ext_fault_resilience --apps 12 --seqs 1 --recovery checkpoint \
-  --metrics-out build/ckpt_smoke >/dev/null
+(cd build && ./bench/ext_fault_resilience --apps 12 --seqs 1 \
+  --recovery checkpoint --metrics-out ckpt_smoke >/dev/null)
 grep -q 'vs_ckpt_snapshots_total' build/ckpt_smoke.prom
 grep -q 'vs_ckpt_bytes_total' build/ckpt_smoke.prom
 grep -q 'vs_recovery_checkpoint_restored_apps_total' build/ckpt_smoke.prom
@@ -66,9 +72,9 @@ echo "== causal trace + journal smoke (flow events, phases, journal) =="
 # A faulted traced replay must emit cross-board flow events (crash ->
 # evacuation -> readmission arrows), the phase histograms, and a
 # structured journal with the crash recorded.
-./build/bench/ext_fault_resilience --apps 12 --seqs 1 \
-  --metrics-out build/trace_smoke --trace-out build/trace_smoke.json \
-  --journal-out build/trace_smoke.jsonl >/dev/null
+(cd build && ./bench/ext_fault_resilience --apps 12 --seqs 1 \
+  --metrics-out trace_smoke --trace-out trace_smoke.json \
+  --journal-out trace_smoke.jsonl >/dev/null)
 grep -q '"ph":"s"' build/trace_smoke.json
 grep -q '"ph":"f"' build/trace_smoke.json
 grep -q 'vs_app_phase_ms' build/trace_smoke.prom
@@ -76,65 +82,71 @@ grep -q '"phases": \[' build/trace_smoke.report.json
 grep -q '"event":"crash"' build/trace_smoke.jsonl
 grep -q '"event":"readmit"' build/trace_smoke.jsonl
 
-echo "== sharded kernel equivalence smoke (serial vs 4 workers) =="
-cmake --build build -j "$JOBS" --target ext_cluster_scale
-./build/bench/ext_cluster_scale --apps 20 --seqs 1 --jobs 1 \
-  --kernel-jobs 0 > build/kernel_serial.out
-./build/bench/ext_cluster_scale --apps 20 --seqs 1 --jobs 1 \
-  --kernel-jobs 4 > build/kernel_sharded.out
-diff build/kernel_serial.out build/kernel_sharded.out
-
-echo "== multi-tenant serving smoke (vs_tenant_* metrics, kernel CSV diff) =="
-cmake --build build -j "$JOBS" --target ext_multitenant
-# Run from build/ so the CSV a smoke writes cannot clobber the committed
+echo "== multi-tenant serving smoke (vs_tenant_* metrics in exports) =="
+# Run from build/ so the CSV the smoke writes cannot clobber the committed
 # ext_multitenant.csv at the repo root.
 (cd build && ./bench/ext_multitenant --boards 8 --rate 1.0 --horizon 10 \
-  --jobs 1 --kernel-jobs 0 --metrics-out mt_smoke > mt_serial.out &&
-  mv ext_multitenant.csv mt_serial.csv)
-(cd build && ./bench/ext_multitenant --boards 8 --rate 1.0 --horizon 10 \
-  --jobs 1 --kernel-jobs 4 > mt_sharded.out &&
-  mv ext_multitenant.csv mt_sharded.csv)
+  --jobs 1 --metrics-out mt_smoke >/dev/null)
 grep -q 'vs_tenant_admitted_total' build/mt_smoke.prom
 grep -q 'vs_tenant_slo_miss_total' build/mt_smoke.prom
 grep -q 'vs_tenant_response_ms' build/mt_smoke.prom
-# The serving plane runs entirely in coordinator events: the sharded
-# kernel must reproduce the serial CSV byte for byte.
-diff build/mt_serial.csv build/mt_sharded.csv
 
-echo "== rack chaos smoke (correlated failures, serial vs sharded) =="
+echo "== rack chaos smoke (correlated failures, rack metrics in exports) =="
 # The rack sweep writes its CSV into the working directory; run from
-# build/ so it cannot clobber a committed file. The sharded kernel must
-# reproduce the serial rack sweep byte for byte, and the export must
-# carry the rack-event counter (registered only when domains are set).
+# build/ so it cannot clobber a committed file. The export must carry the
+# rack-event counter (registered only when domains are set).
 (cd build && ./bench/ext_fault_resilience --racks 2 --apps 12 --seqs 1 \
-  --metrics-out rack_smoke > rack_serial.out &&
-  mv ext_fault_resilience_rack.csv rack_serial.csv)
-(cd build && VS_KERNEL_JOBS=4 ./bench/ext_fault_resilience --racks 2 \
-  --apps 12 --seqs 1 > rack_sharded.out &&
-  mv ext_fault_resilience_rack.csv rack_sharded.csv)
+  --metrics-out rack_smoke >/dev/null)
 grep -q 'vs_rack_events_total' build/rack_smoke.prom
 grep -q 'vs_recovery_spare_exhausted_total' build/rack_smoke.prom
-diff build/rack_serial.csv build/rack_sharded.csv
+
+echo "== golden gate: committed CSVs regenerate byte for byte =="
+# Every bench is a pure function of its seed, so a run at default arguments
+# must reproduce the CSVs committed at the repo root. --racks 2 is the
+# argument that produced ext_fault_resilience_rack.csv.
+golden_dir="$(mktemp -d)"
+trap 'rm -rf "$golden_dir"' EXIT
+root="$(pwd)"
+(cd "$golden_dir" &&
+  for bench in fig5_response_time fig6_tail_latency fig7_utilization \
+               fig8_switching ext_fault_resilience ext_multitenant; do
+    "$root/build/bench/$bench" >/dev/null
+  done &&
+  "$root/build/bench/ext_fault_resilience" --racks 2 >/dev/null)
+for csv in fig5_response_time fig6_tail_latency fig7_utilization \
+           fig8_downtime fig8_dswitch_trace fig8_summary \
+           ext_fault_resilience ext_fault_resilience_rack ext_multitenant; do
+  cmp "$golden_dir/$csv.csv" "$csv.csv"
+done
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== ThreadSanitizer: sweep runner + sharded kernel =="
+  echo "== ThreadSanitizer: sweep runner and the suites that use it =="
   cmake -B build-tsan -S . -DVS_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" --target versaslot_tests
-  # halt_on_error so any reported race fails the gate loudly. The sharded
-  # suites run the cluster differential at up to 8 window workers, so every
-  # cross-shard access pattern (mailboxes, metrics cells, barrier phases)
-  # goes under the race detector.
+  # halt_on_error so any reported race fails the gate loudly. The filter
+  # lists every suite that starts threads.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/versaslot_tests \
-    --gtest_filter='ThreadPool.*:SweepDeterminism.*:SweepEdgeCases.*:ShardedKernel.*:*ShardedDifferential*:ShardedGolden.*:*ShardedBoundaryFuzz*:*ShardedKernelMatchesSerial*:*SerialShardedAndInstrumentedBitIdentical*:*SerialAndShardedKernelsEmitIdenticalTraceAndJournal*:ServePlane.SerialAndShardedKernelsBitIdentical:*ChaosCampaign*:RackGolden.*'
+    --gtest_filter='ThreadPool.*:SweepDeterminism.*:SweepEdgeCases.*:FaultDeterminism.SerialAndParallelSweepAgreeUnderFaults:CheckpointDeterminism.*:RackGolden.*'
 fi
+
+# Event-kernel, telemetry, fault, checkpoint and serving suites: the
+# memory-safety and undefined-behaviour passes share one filter.
+SANITIZE_FILTER='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:ChromeTraceExport.*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== AddressSanitizer: event kernel + telemetry =="
   cmake -B build-asan -S . -DVS_SANITIZE=address
   cmake --build build-asan -j "$JOBS" --target versaslot_tests
-  ./build-asan/tests/versaslot_tests \
-    --gtest_filter='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:ChromeTraceExport.*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
+  ./build-asan/tests/versaslot_tests --gtest_filter="$SANITIZE_FILTER"
+fi
+
+if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
+  echo "== UndefinedBehaviorSanitizer: event kernel + telemetry =="
+  cmake -B build-ubsan -S . -DVS_SANITIZE=undefined
+  cmake --build build-ubsan -j "$JOBS" --target versaslot_tests
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-ubsan/tests/versaslot_tests --gtest_filter="$SANITIZE_FILTER"
 fi
 
 if [[ "${SKIP_COV:-0}" != "1" ]]; then

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/trace_hub.h"
-#include "sim/sharded.h"
 #include "util/log.h"
 
 namespace vs::cluster {
@@ -20,18 +19,6 @@ const char* config_name(core::SwitchLoop::Config config) {
 }
 
 }  // namespace
-
-sim::SimDuration conservative_lookahead(
-    const std::vector<apps::AppSpec>& suite, const fpga::LinkParams& link) {
-  sim::SimDuration lookahead = link.setup_latency;
-  for (const apps::AppSpec& spec : suite) {
-    for (const apps::TaskSpec& task : spec.tasks) {
-      lookahead = std::min(lookahead, task.item_latency);
-    }
-  }
-  assert(lookahead > 0 && "a zero-latency task defeats conservative sync");
-  return lookahead;
-}
 
 Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
                  ClusterOptions options)
@@ -70,24 +57,13 @@ Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
   }
   if (options_.hub != nullptr) obs_ = &options_.hub->channel("cluster");
   // Boards are built in a fixed order (OL0, BL0, OL1, BL1, ...) and board
-  // k always gets shard tag k + 1 — under the serial kernel too, so both
-  // kernels break equal-time event ties identically. Under a sharded
-  // kernel each board additionally lives on its own shard simulator.
-  if (options_.sharded != nullptr) {
-    assert(&sim == &options_.sharded->global() &&
-           "a sharded cluster must be driven by the kernel's coordinator");
-    assert(options_.sharded->shard_count() >= 2 * options_.boards_per_config &&
-           "the sharded kernel needs one shard per board");
-  }
-  auto board_sim = [&](int k) -> sim::Simulator& {
-    return options_.sharded != nullptr ? options_.sharded->shard(k) : sim_;
-  };
+  // k gets source tag k + 1, so equal-time events of different boards fire
+  // in board order after the cluster's own (tag 0) events.
   int next_board = 0;
   auto make_board = [&](const std::string& name, fpga::FabricConfig config) {
-    int k = next_board++;
-    auto board = std::make_unique<fpga::Board>(board_sim(k), name, config,
+    auto board = std::make_unique<fpga::Board>(sim_, name, config,
                                                options_.board_params);
-    board->set_shard_tag(static_cast<sim::ShardTag>(k) + 1);
+    board->set_source_tag(static_cast<sim::SourceTag>(++next_board));
     return board;
   };
   for (int i = 0; i < options_.boards_per_config; ++i) {
@@ -182,10 +158,10 @@ int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
   epoch->runtime =
       std::make_unique<runtime::BoardRuntime>(*epoch->board, *epoch->policy);
   epoch->runtime->set_on_app_complete([this](const runtime::CompletedApp& c) {
-    // Cluster state is coordinator-owned: pin the chain back to tag 0 even
-    // though the completion fires inside a board-tagged item-finish event,
-    // so switch/link/recovery events the cluster schedules from here carry
-    // the coordinator tag under both kernels.
+    // Cluster-level work runs under tag 0: pin the chain back even though
+    // the completion fires inside a board-tagged item-finish event, so
+    // switch/link/recovery events the cluster schedules from here carry
+    // tag 0.
     sim::TagScope tag_scope(sim_, 0);
     completed_.push_back(c);
     on_queue_update();
@@ -208,7 +184,7 @@ int Cluster::new_epoch(core::SwitchLoop::Config config, fpga::Board& board) {
   if (options_.hub != nullptr) {
     // Every epoch's recorder merges into the board's process timeline; the
     // board writes journal/flow records through its own channel (one writer
-    // per channel, created here — a coordinator serial phase).
+    // per channel, created here).
     options_.hub->attach_spans(board.name(), &epoch->runtime->trace());
     if (options_.hub->trace_enabled()) epoch->runtime->trace().enable();
     epoch->runtime->bind_observability(&options_.hub->channel(board.name()));
@@ -905,14 +881,14 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
     m_mttr_.observe(sim::to_ms(mttr));
     return;
   }
-  if (!ro.enable_recovery) {
+  if (ro.mode == RecoveryOptions::Mode::kNone) {
     // No recovery: the displaced apps die with the board. They never reach
     // completed_, so fault benches evaluate at a fixed horizon.
     recovery_stats_.apps_lost += displaced;
     m_lost_.add(displaced);
     return;
   }
-  if (ro.kill_restart) {
+  if (ro.mode == RecoveryOptions::Mode::kKillRestart) {
     // Baseline: progress is not checkpointed anywhere — every displaced
     // app restarts from scratch, and only a control message transfers.
     for (MigratedApp& m : evacuable) {

@@ -44,14 +44,15 @@ namespace vs::cluster {
 /// Failure-recovery policy knobs (the RecoveryPolicy layer over the
 /// FaultPlane's health events).
 struct RecoveryOptions {
-  /// Evacuate a crashed board's paused apps over the Aurora link with their
-  /// progress (live migration as failure recovery) and restart its killed
-  /// apps from scratch on a surviving board.
-  bool enable_recovery = true;
-  /// Baseline recovery: ignore saved progress — every displaced app
-  /// restarts from scratch (kill-restart). Only read when enable_recovery
-  /// is true. With both flags false, displaced apps are simply lost.
-  bool kill_restart = false;
+  /// What happens to the apps a crashed board displaces:
+  ///  - kNone: no recovery; displaced apps are lost with the board.
+  ///  - kKillRestart: baseline recovery; every displaced app ignores its
+  ///    saved progress and restarts from scratch on a surviving board.
+  ///  - kEvacuate (the default): paused apps are evacuated over the Aurora
+  ///    link with their progress (live migration as failure recovery) and
+  ///    killed apps restart from scratch on a surviving board.
+  enum class Mode : std::uint8_t { kNone, kKillRestart, kEvacuate };
+  Mode mode = Mode::kEvacuate;
   /// Health-event to recovery-action latency (heartbeat + decision).
   sim::SimDuration detection_latency = sim::ms(5.0);
   /// Graceful degradation: when a crash displaces more than this many apps,
@@ -144,19 +145,6 @@ struct ClusterOptions {
   /// shared with delta checkpointing) and switches stream state while the
   /// origins keep executing.
   MigrationPolicy migration;
-  /// Sharded event kernel (sim/sharded.h). Null (the default) runs every
-  /// board on the single Simulator passed to the constructor. When set, the
-  /// constructor's Simulator must be `sharded->global()` and the kernel
-  /// must provide at least 2 * boards_per_config shards: board k (in
-  /// construction order OL0, BL0, OL1, BL1, ...) is built on shard k.
-  /// Shard tags are assigned in the same order under BOTH kernels, so a
-  /// serial run is the sharded run's bit-exact oracle.
-  sim::ShardedSimulator* sharded = nullptr;
-  /// Convenience knob for metrics::run_cluster: > 0 builds a sharded
-  /// kernel with this many parallel-phase workers (1 = sharded queues,
-  /// inline windows); 0 (the default) runs the serial reference kernel.
-  /// Ignored by the Cluster itself — it follows `sharded`.
-  int kernel_workers = 0;
   /// Cluster-wide causal observability (obs/trace_hub.h). Null (the
   /// default) keeps tracing/journalling off and every output byte-identical.
   /// When set, each board epoch's span recorder is attached (and enabled
@@ -169,15 +157,6 @@ struct ClusterOptions {
   /// unregistered and exports byte-identical.
   bool phase_accounting = false;
 };
-
-/// The sharded kernel's conservative window depth for a cluster run: the
-/// minimum delay with which a board-local event can schedule a new sync
-/// event. Item-finish events (the only board-to-cluster sync site) fire at
-/// least one item latency after their launch, so the suite-wide minimum
-/// task item latency is a sound bound; the Aurora setup latency is folded
-/// in as an extra safety floor for cross-board traffic.
-[[nodiscard]] sim::SimDuration conservative_lookahead(
-    const std::vector<apps::AppSpec>& suite, const fpga::LinkParams& link);
 
 struct SwitchEvent {
   sim::SimTime time = 0;
@@ -224,8 +203,8 @@ class Cluster {
     return static_cast<int>(readmit_queue_.size());
   }
   /// Cluster-level completion hook, invoked after the cluster's own
-  /// bookkeeping inside the coordinator-pinned completion path (so
-  /// anything the hook schedules is deterministic under both kernels).
+  /// bookkeeping inside the tag-0 completion path (so anything the hook
+  /// schedules carries the cluster's source tag).
   void set_on_app_complete(
       std::function<void(const runtime::CompletedApp&)> fn) {
     on_app_complete_ = std::move(fn);

@@ -11,7 +11,6 @@
 #include "baselines/round_robin.h"
 #include "fpga/board.h"
 #include "obs/trace_hub.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "sim/trace_export.h"
 
@@ -67,28 +66,12 @@ RunResult run_single_board(SystemKind kind,
                            const std::vector<apps::AppSpec>& suite,
                            const workload::Sequence& sequence,
                            const RunOptions& options) {
-  // Kernel selection: serial by default; kernel_workers > 0 puts the board
-  // on its own shard, with arrivals and the fault plane on the coordinator.
-  // The board carries shard tag 1 under BOTH kernels so the canonical
-  // (time, tag, seq) event order — and with it every output — matches.
-  std::optional<sim::ShardedSimulator> kernel;
-  std::optional<sim::Simulator> serial_sim;
-  if (options.kernel_workers > 0) {
-    sim::ShardedOptions kernel_options;
-    kernel_options.shards = 1;
-    kernel_options.workers = options.kernel_workers;
-    kernel_options.lookahead =
-        cluster::conservative_lookahead(suite, fpga::LinkParams{});
-    kernel.emplace(kernel_options);
-  } else {
-    serial_sim.emplace();
-  }
-  sim::Simulator& sim = kernel ? kernel->global() : *serial_sim;
-  sim::Simulator& board_sim = kernel ? kernel->shard(0) : sim;
-  fpga::Board board(board_sim, "fpga0",
-                    options.fabric.value_or(fabric_for(kind)),
+  // The board carries source tag 1, so at equal times arrivals and the
+  // fault plane (tag 0) fire before the board's own events.
+  sim::Simulator sim;
+  fpga::Board board(sim, "fpga0", options.fabric.value_or(fabric_for(kind)),
                     options.board_params);
-  board.set_shard_tag(1);
+  board.set_source_tag(1);
 
   // One scheduling epoch per board-up interval, like the cluster: a crash
   // freezes the live runtime, and the reboot starts a fresh one on the
@@ -285,11 +268,7 @@ RunResult run_single_board(SystemKind kind,
                 a.spec_index, a.batch, a.arrival, a.item_interval);
     });
   }
-  if (kernel) {
-    kernel->run(options.time_limit);
-  } else {
-    sim.run(options.time_limit);
-  }
+  sim.run(options.time_limit);
 
   if (!epochs.back().runtime->crashed()) retire(*epochs.back().runtime);
   if (options.record_trace && !options.trace_path.empty()) {
@@ -374,25 +353,6 @@ ClusterRunResult run_cluster(const std::vector<apps::AppSpec>& suite,
         {"t2", std::to_string(options.t2)},
         {"boards_per_config", std::to_string(options.boards_per_config)},
     };
-  }
-  if (options.kernel_workers > 0) {
-    // Sharded event kernel: one shard per board, conservative windows
-    // bounded by the suite's minimum item latency. Everything observable
-    // is bit-identical to the serial branch below.
-    sim::ShardedOptions kernel_options;
-    kernel_options.shards = 2 * options.boards_per_config;
-    kernel_options.workers = options.kernel_workers;
-    kernel_options.lookahead =
-        cluster::conservative_lookahead(suite, options.link_params);
-    sim::ShardedSimulator kernel(kernel_options);
-    cluster_options.sharded = &kernel;
-    cluster::Cluster cluster(kernel.global(), suite, cluster_options);
-    if (telemetry != nullptr) telemetry->start_sampling(kernel.global());
-    cluster.submit_sequence(sequence);
-    kernel.run(time_limit);
-    if (cluster_options.hub != nullptr) cluster_options.hub->seal();
-    return collect_cluster_result(cluster, kernel.global().now(),
-                                  kernel.events_executed());
   }
   sim::Simulator sim;
   cluster::Cluster cluster(sim, suite, cluster_options);

@@ -15,12 +15,10 @@
 // renders the whole cluster as a single Chrome trace: one process per board
 // (pid = attach order), one thread per lane, plus the flow events above.
 //
-// Thread-safety contract (mirrors the sharded kernel's): each channel is
-// written only by its owning board's shard; channels are created only during
-// coordinator serial phases; storage is a deque so creation never moves
-// existing channels. Merging for export happens after the run, serially, and
-// uses a canonical (time, channel index, append order) sort so serial and
-// sharded kernels emit byte-identical files.
+// Each channel is written only by its owning board (or the cluster); storage
+// is a deque so creating a channel never moves existing ones. Merging for
+// export happens after the run and uses a canonical (time, channel index,
+// append order) sort, so exported files are a pure function of the seed.
 #pragma once
 
 #include <cstdint>
@@ -145,9 +143,7 @@ class ClusterTraceHub {
   [[nodiscard]] bool trace_enabled() const noexcept { return trace_; }
   [[nodiscard]] bool journal_enabled() const noexcept { return journal_; }
 
-  /// Channel for a named source, created on first request. Call only from
-  /// coordinator serial phases (channel creation is not thread-safe; use of
-  /// an existing channel by its owner is).
+  /// Channel for a named source, created on first request.
   TraceChannel& channel(const std::string& name);
 
   /// Registers a board's span recorder for the merged Chrome trace. Boards

@@ -57,10 +57,8 @@ struct ServeResult {
 };
 
 /// Runs the serving plane to completion (or `time_limit`). `config` must
-/// be enabled (have tenants); `options.kernel_workers` selects the serial
-/// (0) or sharded (> 0) event kernel exactly as metrics::run_cluster does;
-/// `telemetry`, when non-null, registers the vs_tenant_* instruments and
-/// samples the run.
+/// be enabled (have tenants); `telemetry`, when non-null, registers the
+/// vs_tenant_* instruments and samples the run.
 [[nodiscard]] ServeResult run_serve(
     const std::vector<apps::AppSpec>& suite, const ServeConfig& config,
     const cluster::ClusterOptions& options,

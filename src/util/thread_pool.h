@@ -2,7 +2,7 @@
 //
 // The simulator itself stays single-threaded (determinism is a core
 // requirement); parallelism lives one level up, where fully independent
-// replicas — one sim::Simulator per job — shard across hardware threads.
+// replicas — one sim::Simulator per job — spread across hardware threads.
 // The pool therefore needs no work stealing or futures: jobs are opaque
 // closures, callers key results by job index and reduce in that order, so
 // aggregate output is bit-identical to a serial run (see metrics/sweep.h).
@@ -27,12 +27,6 @@ class CliArgs;
 ///   3. std::thread::hardware_concurrency().
 /// Values are clamped to >= 1; 0 or garbage falls through to the next rule.
 [[nodiscard]] int resolve_jobs(const CliArgs* cli = nullptr);
-
-/// Resolves the sharded event-kernel worker count (`--kernel-jobs N`, then
-/// the VS_KERNEL_JOBS environment variable). Unlike resolve_jobs there is
-/// no hardware fallback: the default of 0 selects the serial reference
-/// kernel, so sharding stays strictly opt-in.
-[[nodiscard]] int resolve_kernel_jobs(const CliArgs* cli = nullptr);
 
 class ThreadPool {
  public:

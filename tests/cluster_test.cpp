@@ -2,6 +2,9 @@
 // switching, pre-warming, and end-to-end cluster runs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+
 #include "apps/benchmarks.h"
 #include "cluster/aurora.h"
 #include "cluster/cluster.h"
@@ -180,6 +183,32 @@ TEST(Cluster, DeterministicAcrossRuns) {
     EXPECT_DOUBLE_EQ(a.response_ms[i], b.response_ms[i]);
   }
   EXPECT_EQ(a.switches.size(), b.switches.size());
+}
+
+// Seed-2025 golden pins for the canonical (time, tag, seq) event order,
+// captured when that order was introduced. Update them ONLY for an
+// intentional, documented change to the event order.
+TEST(ClusterGolden, Seed2025FaultFreeRunIsFrozen) {
+  constexpr std::uint64_t kGoldenEvents = 6485;
+  constexpr sim::SimTime kGoldenFirstCompleted = 4098471994;
+  constexpr sim::SimTime kGoldenLastCompleted = 12807039199;
+  constexpr double kGoldenMeanResponse = 6184.2995846799995;
+
+  ClusterFixture f;
+  metrics::ClusterRunResult r = metrics::run_cluster(
+      f.suite, f.stress_sequence(25, 2025), ClusterOptions{});
+  std::ostringstream capture;
+  capture.precision(17);
+  capture << "events=" << r.events << " first=" << r.apps.front().completed
+          << " last=" << r.apps.back().completed
+          << " mean=" << r.response.mean;
+  SCOPED_TRACE(capture.str());
+  EXPECT_EQ(r.submitted, 25);
+  EXPECT_EQ(r.completed, 25);
+  EXPECT_EQ(r.events, kGoldenEvents);
+  EXPECT_EQ(r.apps.front().completed, kGoldenFirstCompleted);
+  EXPECT_EQ(r.apps.back().completed, kGoldenLastCompleted);
+  EXPECT_EQ(r.response.mean, kGoldenMeanResponse);
 }
 
 }  // namespace

@@ -693,14 +693,14 @@ TEST(BoardCrash, ReportPartitionsAppsAndRuntimeFreezes) {
 
 // ----------------------------------------------------------- FaultRecovery
 
-cluster::ClusterOptions faulty_options(bool enable_recovery,
-                                       bool kill_restart) {
+using RecoveryMode = cluster::RecoveryOptions::Mode;
+
+cluster::ClusterOptions faulty_options(RecoveryMode mode) {
   cluster::ClusterOptions options;
   options.faults.seed = 404;
   options.faults.timeline.push_back(
       {sim::seconds(2.0), faults::FaultKind::kBoardCrash, 0, -1});
-  options.recovery.enable_recovery = enable_recovery;
-  options.recovery.kill_restart = kill_restart;
+  options.recovery.mode = mode;
   return options;
 }
 
@@ -717,7 +717,7 @@ TEST(FaultRecovery, EvacuationViaLiveMigrationCompletesEveryApp) {
   auto suite = apps::make_suite(params);
   auto seq = recovery_sequence();
   auto result = metrics::run_cluster(suite, seq,
-                                     faulty_options(true, false));
+                                     faulty_options(RecoveryMode::kEvacuate));
   EXPECT_EQ(result.completed, result.submitted);
   EXPECT_EQ(result.recovery.boards_crashed, 1);
   EXPECT_EQ(result.recovery.boards_rebooted, 1);
@@ -735,7 +735,7 @@ TEST(FaultRecovery, NoRecoveryLosesTheDisplacedApps) {
   auto suite = apps::make_suite(params);
   auto seq = recovery_sequence();
   auto result = metrics::run_cluster(suite, seq,
-                                     faulty_options(false, false));
+                                     faulty_options(RecoveryMode::kNone));
   EXPECT_GT(result.recovery.apps_lost, 0);
   EXPECT_EQ(result.completed,
             result.submitted - result.recovery.apps_lost);
@@ -746,8 +746,8 @@ TEST(FaultRecovery, KillRestartCompletesButForfeitsProgress) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   auto seq = recovery_sequence();
-  auto restart = metrics::run_cluster(suite, seq,
-                                      faulty_options(true, true));
+  auto restart = metrics::run_cluster(
+      suite, seq, faulty_options(RecoveryMode::kKillRestart));
   EXPECT_EQ(restart.completed, restart.submitted);
   EXPECT_EQ(restart.recovery.apps_lost, 0);
   EXPECT_EQ(restart.recovery.apps_evacuated, 0);  // progress never moves
@@ -759,7 +759,7 @@ TEST(FaultRecovery, ShedThresholdDropsZeroProgressWorkFirst) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   auto seq = recovery_sequence();
-  cluster::ClusterOptions options = faulty_options(true, false);
+  cluster::ClusterOptions options = faulty_options(RecoveryMode::kEvacuate);
   options.recovery.shed_threshold = 0;
   auto result = metrics::run_cluster(suite, seq, options);
   EXPECT_GT(result.recovery.apps_shed, 0);
@@ -795,7 +795,7 @@ TEST(FaultDeterminism, FaultyClusterRunsAreBitIdenticalAcrossRuns) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   auto seq = recovery_sequence();
-  cluster::ClusterOptions options = faulty_options(true, false);
+  cluster::ClusterOptions options = faulty_options(RecoveryMode::kEvacuate);
   options.faults.hazards.link_flap_per_s = 0.2;
   options.faults.hazards.slot_seu_per_s = 0.5;
   options.faults.horizon = sim::seconds(30.0);
@@ -815,7 +815,7 @@ TEST(FaultDeterminism, SerialAndParallelSweepAgreeUnderFaults) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   auto seq = recovery_sequence();
-  cluster::ClusterOptions options = faulty_options(true, false);
+  cluster::ClusterOptions options = faulty_options(RecoveryMode::kEvacuate);
   options.faults.hazards.link_flap_per_s = 0.2;
   options.faults.horizon = sim::seconds(30.0);
 

@@ -1,7 +1,7 @@
 // Tests for iterative pre-copy live migration (cluster/migration.h): round
 // convergence and the round cap, stop-and-copy downtime strictly below the
 // whole-state switch, recovery through crashes/flaps/SEUs with pre-copy
-// active, serial-vs-sharded and telemetry on/off bit-identity, and
+// active, telemetry on/off bit-identity, and
 // byte-identity of runs with the policy disabled.
 #include <gtest/gtest.h>
 
@@ -218,7 +218,7 @@ TEST(PrecopyRecovery, SurvivesCrashesFlapsAndSeusWithDeltaCheckpoints) {
   cluster::ClusterOptions options = precopy_options();
   options.checkpoint.enabled = true;
   options.checkpoint.delta = true;
-  options.recovery.enable_recovery = true;
+  options.recovery.mode = cluster::RecoveryOptions::Mode::kEvacuate;
   options.faults.seed = 404;
   options.faults.hazards.slot_seu_per_s = 0.3;
   options.faults.hazards.link_flap_per_s = 0.1;
@@ -236,17 +236,16 @@ TEST(PrecopyRecovery, SurvivesCrashesFlapsAndSeusWithDeltaCheckpoints) {
 
 // ------------------------------------------------------ PrecopyDeterminism
 
-TEST(PrecopyDeterminism, SerialShardedAndInstrumentedBitIdentical) {
+TEST(PrecopyDeterminism, InstrumentedRunBitIdentical) {
   // Pre-copy plus delta checkpointing under crash + flap + SEU hazards:
-  // the serial kernel stays the bit-exact oracle of the sharded kernel at
-  // every worker count, and telemetry never perturbs results.
+  // telemetry never perturbs results.
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   auto seq = switching_sequence();
   cluster::ClusterOptions options = precopy_options();
   options.checkpoint.enabled = true;
   options.checkpoint.delta = true;
-  options.recovery.enable_recovery = true;
+  options.recovery.mode = cluster::RecoveryOptions::Mode::kEvacuate;
   options.faults.seed = 404;
   options.faults.hazards.board_crash_per_s = 0.02;
   options.faults.hazards.slot_seu_per_s = 0.3;
@@ -290,14 +289,6 @@ TEST(PrecopyDeterminism, SerialShardedAndInstrumentedBitIdentical) {
     EXPECT_EQ(cell.recovery.mttr_total, serial.recovery.mttr_total) << what;
   };
   expect_same(instrumented, "instrumented");
-
-  for (int workers : {1, 2, 4, 8}) {
-    cluster::ClusterOptions sharded = options;
-    sharded.kernel_workers = workers;
-    auto cell = metrics::run_cluster(suite, seq, sharded);
-    expect_same(cell, std::to_string(workers) + " workers");
-    EXPECT_EQ(cell.events, serial.events) << workers;
-  }
 }
 
 // --------------------------------------------------------- PrecopyDisabled

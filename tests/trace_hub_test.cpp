@@ -1,8 +1,8 @@
 // Cluster-wide causal observability tests: the trace hub's merged Chrome
 // trace with flow events, the structured run journal and its round-trip
 // parser, TraceRecorder capacity bounds, response-time phase accounting
-// (phases sum exactly to response time, bit-for-bit across kernels and
-// fault scenarios), and the pinned guarantee that none of it perturbs an
+// (phases sum exactly to response time across fault scenarios, and runs
+// repeat bit for bit), and the pinned guarantee that none of it perturbs an
 // uninstrumented run.
 #include <array>
 #include <cstdint>
@@ -314,28 +314,23 @@ void expect_phases_sum_to_response(
   }
 }
 
-TEST(PhaseAccounting, PhasesSumExactlyToResponseAcrossScenariosAndKernels) {
+TEST(PhaseAccounting, PhasesSumExactlyToResponseAcrossScenarios) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   for (std::uint64_t seed : {2025u, 77u}) {
     workload::Sequence seq = stress_sequence(seed, 25);
     for (int scenario = 0; scenario < 3; ++scenario) {
-      for (int workers : {0, 4}) {
-        cluster::ClusterOptions options;
-        options.phase_accounting = true;
-        options.kernel_workers = workers;
-        if (scenario >= 1) options.faults = faulty_scenario();
-        if (scenario == 2) {
-          options.checkpoint.enabled = true;
-          options.checkpoint.delta = true;
-        }
-        metrics::ClusterRunResult r =
-            metrics::run_cluster(suite, seq, options);
-        std::string label = "seed " + std::to_string(seed) + " scenario " +
-                            std::to_string(scenario) + " workers " +
-                            std::to_string(workers);
-        expect_phases_sum_to_response(r.apps, label.c_str());
+      cluster::ClusterOptions options;
+      options.phase_accounting = true;
+      if (scenario >= 1) options.faults = faulty_scenario();
+      if (scenario == 2) {
+        options.checkpoint.enabled = true;
+        options.checkpoint.delta = true;
       }
+      metrics::ClusterRunResult r = metrics::run_cluster(suite, seq, options);
+      std::string label = "seed " + std::to_string(seed) + " scenario " +
+                          std::to_string(scenario);
+      expect_phases_sum_to_response(r.apps, label.c_str());
     }
   }
 }
@@ -395,12 +390,12 @@ TEST(PhaseAccounting, ObservabilityDoesNotPerturbAFaultedClusterRun) {
   EXPECT_EQ(instrumented.events, plain.events);
 }
 
-TEST(PhaseAccounting, SerialAndShardedKernelsEmitIdenticalTraceAndJournal) {
+TEST(PhaseAccounting, RepeatedRunsEmitIdenticalTraceAndJournal) {
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);
   workload::Sequence seq = stress_sequence(2025, 25);
 
-  auto run = [&](int workers) {
+  auto run = [&] {
     ClusterTraceHub hub;
     hub.enable_trace();
     hub.enable_journal();
@@ -409,7 +404,6 @@ TEST(PhaseAccounting, SerialAndShardedKernelsEmitIdenticalTraceAndJournal) {
     options.checkpoint.enabled = true;
     options.hub = &hub;
     options.phase_accounting = true;
-    options.kernel_workers = workers;
     (void)metrics::run_cluster(suite, seq, options);
     std::ostringstream trace, journal;
     hub.write_chrome_trace(trace);
@@ -417,11 +411,11 @@ TEST(PhaseAccounting, SerialAndShardedKernelsEmitIdenticalTraceAndJournal) {
     return std::make_pair(trace.str(), journal.str());
   };
 
-  auto [serial_trace, serial_journal] = run(0);
-  auto [sharded_trace, sharded_journal] = run(4);
-  EXPECT_EQ(serial_trace, sharded_trace);
-  EXPECT_EQ(serial_journal, sharded_journal);
-  EXPECT_GT(serial_journal.size(), 0u);
+  auto [first_trace, first_journal] = run();
+  auto [second_trace, second_journal] = run();
+  EXPECT_EQ(first_trace, second_trace);
+  EXPECT_EQ(first_journal, second_journal);
+  EXPECT_GT(first_journal.size(), 0u);
 }
 
 TEST(PhaseAccounting, FaultedClusterTraceCarriesCausalChains) {
