@@ -5,7 +5,10 @@
 # telemetry demo and the export smokes of the fault, checkpoint, trace,
 # serving and rack benches, then the golden gate: the committed CSVs at the
 # repository root are regenerated in a temporary directory and must match
-# byte for byte. Sanitizer passes follow: ThreadSanitizer over the suites
+# byte for byte. The benchmark's self-tests come next: every workload's
+# seed-2025 digest of simulated results must equal its pin, and traced and
+# untraced runs must agree, so a change meant to leave behaviour alone is
+# checked against all four benchmark workloads too. Sanitizer passes follow: ThreadSanitizer over the suites
 # that start threads (the parallel sweep runner and its users),
 # AddressSanitizer and UndefinedBehaviorSanitizer over the event-kernel,
 # telemetry, fault, checkpoint and serving tests (the slab queue and
@@ -118,6 +121,9 @@ for csv in fig5_response_time fig6_tail_latency fig7_utilization \
            ext_fault_resilience ext_fault_resilience_rack ext_multitenant; do
   cmp "$golden_dir/$csv.csv" "$csv.csv"
 done
+
+echo "== benchmark self-tests: pinned digests, traced == untraced =="
+python3 perfbench/test_perfbench.py
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== ThreadSanitizer: sweep runner and the suites that use it =="

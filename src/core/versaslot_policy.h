@@ -18,7 +18,8 @@
 // paper's individual mechanisms off.
 #pragma once
 
-#include <unordered_map>
+#include <cassert>
+#include <vector>
 
 #include "apps/bundling.h"
 #include "apps/synthesis.h"
@@ -67,8 +68,8 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   /// Binding state, exposed for tests and the ablation benches.
   enum class Binding { kWaiting, kBig, kLittle };
   [[nodiscard]] Binding binding(int app_id) const {
-    auto it = state_.find(app_id);
-    return it != state_.end() ? it->second.binding : Binding::kWaiting;
+    auto i = static_cast<std::size_t>(app_id);
+    return i < state_.size() ? state_[i].binding : Binding::kWaiting;
   }
   [[nodiscard]] const VersaSlotOptions& options() const noexcept {
     return options_;
@@ -92,9 +93,16 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   void preempt_little(runtime::BoardRuntime& rt);
 
   [[nodiscard]] bool can_bundle_cached(runtime::BoardRuntime& rt, int app_id);
+  /// State of an app this policy saw submitted (every live app was).
+  [[nodiscard]] AppState& state(int app_id) {
+    assert(static_cast<std::size_t>(app_id) < state_.size());
+    return state_[static_cast<std::size_t>(app_id)];
+  }
 
   VersaSlotOptions options_;
-  std::unordered_map<int, AppState> state_;
+  /// Per-app state indexed by runtime app id (ids are dense: an app's id is
+  /// the runtime's app count at its submission).
+  std::vector<AppState> state_;
 
   // Telemetry: Algorithm 1/2 decision outcomes (no-ops until bound).
   obs::CounterHandle m_big_bindings_;     ///< vs_policy_big_bindings_total

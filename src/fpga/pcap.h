@@ -51,14 +51,15 @@ class Pcap {
   void reset();
 
   /// Requests a load of `load_duration` issued from `core`. The load
-  /// occupies the PCAP exclusively and suspends `core` while transferring;
+  /// occupies the PCAP exclusively and suspends `core` while transferring
+  /// (a core op of kind sim::OpKind::kPcapLoad);
   /// `on_done` fires at completion. `on_blocked`, if set, fires once if the
   /// request had to wait behind another load (used for blocked-task
   /// accounting). `bytes` is the partial-bitstream size, accounted to the
   /// vs_pcap_bytes_loaded_total telemetry counter on successful completion.
   void request(sim::SimDuration load_duration, sim::Core& core,
-               sim::EventFn on_done, std::string label = {},
-               sim::EventFn on_blocked = nullptr, std::int64_t bytes = 0);
+               sim::EventFn on_done, sim::EventFn on_blocked = nullptr,
+               std::int64_t bytes = 0);
 
   [[nodiscard]] bool busy() const noexcept { return busy_; }
   [[nodiscard]] std::size_t backlog() const noexcept { return queue_.size(); }
@@ -74,7 +75,6 @@ class Pcap {
     sim::SimDuration duration = 0;
     sim::Core* core = nullptr;
     sim::EventFn on_done;
-    std::string label;
     sim::SimTime enqueued = 0;
     std::int64_t bytes = 0;
   };

@@ -39,7 +39,11 @@ fpga::BitstreamKey unit_bitstream_key(int spec_index,
 }
 
 BoardRuntime::BoardRuntime(fpga::Board& board, SchedulerPolicy& policy)
-    : board_(board), policy_(policy), dual_core_(policy.dual_core()) {
+    : board_(board),
+      policy_(policy),
+      dual_core_(policy.dual_core()),
+      fabric_capacity_(
+          reconfigurable_capacity(board.fabric(), board.params())) {
   policy_.attach(*this);
 }
 
@@ -177,6 +181,10 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   app.phase_since = app.arrival;
   apps_.push_back(std::move(app));
   int id = apps_.back().id;
+  assert(open_scans_ == 0 && "admission under an open live-app scan");
+  assert((live_.empty() || live_.back() < id) && "live index stays sorted");
+  live_.push_back(id);
+  ++live_count_;
   init_dirty(apps_.back());
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kAdmit, board_.name(), id,
@@ -282,8 +290,8 @@ bool migratable_now(const AppRun& a) {
 
 std::int64_t BoardRuntime::migratable_state_bytes() const {
   std::int64_t bytes = 0;
-  for (const AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : live_ids()) {
+    const AppRun& a = app(id);
     if (a.started && !per_task_units(a)) continue;
     bytes += migratable_app_bytes(a);
   }
@@ -297,8 +305,8 @@ void BoardRuntime::begin_migration_stream() {
 std::int64_t BoardRuntime::take_migration_stream_bytes() {
   if (dirty_granularity_ <= 0) return 0;
   std::int64_t bytes = 0;
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : live_ids()) {
+    AppRun& a = app(id);
     // Running apps keep dirtying their image until they pause — or drain
     // here, in which case their dirt was never anybody's payload. Bundled
     // apps never migrate at all.
@@ -336,8 +344,9 @@ void BoardRuntime::checkpoint_pass() {
   std::int64_t pass_delta_bytes = 0;
   const bool delta_mode = ckpt_.delta_active() && dirty_granularity_ > 0;
   std::vector<int> snap;
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done() || !a.started) continue;
+  for (int id : live_ids()) {
+    AppRun& a = app(id);
+    if (!a.started) continue;
     // Expand to per-task progress: a bundle's items_done means that many
     // items passed through every task in its range, so each covered task
     // inherits the bundle count. Pipeline item-readiness keeps items_done
@@ -455,7 +464,7 @@ void BoardRuntime::checkpoint_pass() {
     cost += board_.params().ckpt_delta_time(pass_delta_bytes);
   }
   if (cost > 0) {
-    board_.scheduler_core().submit(cost, [] {}, "ckpt");
+    board_.scheduler_core().submit(cost, [] {}, sim::OpKind::kCheckpoint);
   }
 }
 
@@ -514,10 +523,43 @@ bool BoardRuntime::item_ready(const AppRun& app, int unit_index) const {
   return up.items_done > u.items_done;
 }
 
-int BoardRuntime::active_apps() const noexcept {
-  int n = 0;
-  for (const AppRun& a : apps_) n += (!a.done() && a.spec != nullptr);
-  return n;
+LiveIds BoardRuntime::live_ids() const {
+  if (live_stale_) {
+    assert(open_scans_ == 0 && "compacting under an open live-app scan");
+    live_stale_ = false;
+    std::erase_if(live_, [this](int id) {
+      const AppRun& a = apps_[static_cast<std::size_t>(id)];
+      return a.spec == nullptr || a.done();
+    });
+    assert(live_.size() == static_cast<std::size_t>(live_count_) &&
+           "every retirement goes through retire()");
+  }
+  return LiveIds{live_, open_scans_};
+}
+
+void BoardRuntime::retire(AppRun& a) {
+  assert((a.spec == nullptr || a.done()) && live_count_ > 0);
+  (void)a;
+  --live_count_;
+  live_stale_ = true;
+}
+
+namespace {
+
+bool occupies_slot(const UnitRun& u) {
+  return u.slot >= 0 && (u.state == UnitState::kReconfiguring ||
+                         u.state == UnitState::kRunning);
+}
+
+}  // namespace
+
+void BoardRuntime::set_unit_state(UnitRun& u, UnitState next, int slot) {
+  if (u.state == UnitState::kRunning) running_usage_ -= u.spec.impl_usage;
+  if (occupies_slot(u)) slot_occupancy_ -= board_.slot(u.slot).capacity();
+  u.state = next;
+  u.slot = slot;
+  if (u.state == UnitState::kRunning) running_usage_ += u.spec.impl_usage;
+  if (occupies_slot(u)) slot_occupancy_ += board_.slot(u.slot).capacity();
 }
 
 void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
@@ -534,8 +576,7 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
   touch_utilization();
   fpga::BitstreamKey key = unit_bitstream_key(a.spec_index, u.spec, slot_id);
   slot.begin_reconfig(app_id, key);
-  u.state = UnitState::kReconfiguring;
-  u.slot = slot_id;
+  set_unit_state(u, UnitState::kReconfiguring, slot_id);
   u.pr_was_blocked = false;
   a.started = true;
   touch_phase(a);
@@ -564,13 +605,6 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
       board_.sdcard().fetch_time(key, content_key, u.spec.bitstream_bytes) +
       p.pcap_load_time(u.spec.bitstream_bytes);
   sim::Core& core = dual_core_ ? board_.pr_core() : board_.scheduler_core();
-  // Span labels are built only when tracing is on: benchmark runs must not
-  // pay for string formatting (or its allocations) per PR.
-  std::string label;
-  if (trace_.enabled()) {
-    label = a.spec->name + "#" + std::to_string(app_id) + ".u" +
-            std::to_string(unit_index);
-  }
   sim::SimTime requested = sim().now();
 
   board_.pcap().request(
@@ -586,14 +620,13 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
           // arrival. Release the slot and retry the unit from Pending.
           u2.seu_poisoned = false;
           board_.slot(u2.slot).release();
-          u2.state = UnitState::kPending;
-          u2.slot = -1;
+          set_unit_state(u2, UnitState::kPending, -1);
           touch_phase(a2);
           refresh_slot_gauges();
           board_.ocm().post([this] { kick(); });
           return;
         }
-        u2.state = UnitState::kRunning;
+        set_unit_state(u2, UnitState::kRunning, u2.slot);
         touch_phase(a2);
         refresh_slot_gauges();
         if (trace_.enabled()) {
@@ -605,7 +638,6 @@ void BoardRuntime::request_pr(int app_id, int unit_index, int slot_id) {
         // The PR server notifies the scheduler through the OCM mailbox.
         board_.ocm().post([this] { kick(); });
       },
-      std::move(label),
       [this, app_id, unit_index]() {
         UnitRun& blocked_unit =
             app(app_id).units[static_cast<std::size_t>(unit_index)];
@@ -632,10 +664,7 @@ void BoardRuntime::request_full_reconfig(int app_id) {
   a.started = true;
   ++counters_.pr_requests;
   m_pr_requests_.add();
-  for (UnitRun& u : a.units) {
-    u.state = UnitState::kReconfiguring;
-    u.slot = -2;
-  }
+  for (UnitRun& u : a.units) set_unit_state(u, UnitState::kReconfiguring, -2);
   touch_phase(a);
   const fpga::BoardParams& p = board_.params();
   fpga::BitstreamKey key =
@@ -651,7 +680,9 @@ void BoardRuntime::request_full_reconfig(int app_id) {
       [this, app_id, requested]() {
         AppRun& a2 = app(app_id);
         touch_utilization();
-        for (UnitRun& u : a2.units) u.state = UnitState::kRunning;
+        for (UnitRun& u : a2.units) {
+          set_unit_state(u, UnitState::kRunning, u.slot);
+        }
         touch_phase(a2);
         if (trace_.enabled()) {
           trace_.add(requested, sim().now(), "fabric",
@@ -660,9 +691,6 @@ void BoardRuntime::request_full_reconfig(int app_id) {
         }
         kick();
       },
-      trace_.enabled()
-          ? a.spec->name + "#" + std::to_string(app_id) + ".full"
-          : std::string{},
       nullptr, p.full_bitstream_bytes);
 }
 
@@ -675,8 +703,7 @@ void BoardRuntime::preempt_unit(int app_id, int unit_index) {
   assert(u.slot >= 0);
   touch_utilization();
   board_.slot(u.slot).release();
-  u.state = UnitState::kPending;
-  u.slot = -1;
+  set_unit_state(u, UnitState::kPending, -1);
   touch_phase(a);
   ++counters_.preemptions;
   m_preemptions_.add();
@@ -700,7 +727,7 @@ void BoardRuntime::apply_progress(AppRun& a,
     upstream = done;
     UnitRun& u = a.units[i];
     u.items_done = done;
-    if (done >= a.batch) u.state = UnitState::kFinished;
+    if (done >= a.batch) set_unit_state(u, UnitState::kFinished, -1);
   }
   // Mark started so policies neither re-unitise nor rebind the app: its
   // per-task progress pins the Little decomposition.
@@ -790,8 +817,9 @@ BoardRuntime::MigratedApp migrated_with_progress(const AppRun& a) {
 
 std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
   std::vector<MigratedApp> out;
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.started || a.done()) continue;
+  for (int id : live_ids()) {
+    AppRun& a = app(id);
+    if (a.started) continue;
     touch_phase(a);
     MigratedApp m = migrated_descriptor(a);
     m.phase_ns = a.phase_ns;
@@ -799,14 +827,16 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
     m.ckpt_flow = a.ckpt_flow;
     out.push_back(std::move(m));
     a.spec = nullptr;  // tombstone: extracted
+    retire(a);
   }
   return out;
 }
 
 std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
   std::vector<MigratedApp> out = extract_unstarted();
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done() || !a.started) continue;
+  for (int id : live_ids()) {
+    AppRun& a = app(id);
+    if (!a.started) continue;
     // Paused: nothing placed, nothing mid-flight, and still on the per-task
     // decomposition (one unit per task — bundled apps complete on the Big
     // slots they are bound to, per §III-C).
@@ -825,6 +855,7 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
     m.ckpt_flow = a.ckpt_flow;
     out.push_back(std::move(m));
     a.spec = nullptr;  // tombstone: extracted
+    retire(a);
   }
   return out;
 }
@@ -849,8 +880,8 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
   // through the same submit_with_progress packing, re-running at most one
   // checkpoint interval. Only apps with neither live progress nor a
   // snapshot are truly lost: killed descriptors restart from scratch.
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : live_ids()) {
+    AppRun& a = app(id);
     touch_phase(a);
     bool per_task =
         a.units.size() == static_cast<std::size_t>(a.spec->task_count());
@@ -879,7 +910,12 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
       report.killed.push_back(std::move(m));
     }
     a.spec = nullptr;  // tombstone: extracted by the crash
+    retire(a);
   }
+  // Every app is retired and every slot is about to be scrubbed: nothing
+  // runs and nothing is occupied any more.
+  running_usage_ = {};
+  slot_occupancy_ = {};
   crashed_ = true;
   pass_queued_ = false;
   for (fpga::Slot& s : board_.slots()) s.scrub();
@@ -928,8 +964,7 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
   // Configured and between items: evict on the spot.
   touch_utilization();
   slot.release();
-  unit->state = UnitState::kPending;
-  unit->slot = -1;
+  set_unit_state(*unit, UnitState::kPending, -1);
   touch_phase(a);
   refresh_slot_gauges();
   kick();
@@ -944,14 +979,14 @@ void BoardRuntime::kick() {
   // Single-core designs: if the scheduler core is currently suspended by a
   // PCAP load, this pass (and the launches it would perform) is blocked —
   // the paper's task-execution-blocking problem.
-  if (!dual_core_ && core.busy() &&
-      core.current_label().rfind("pcap:", 0) == 0) {
+  if (!dual_core_ && core.current_kind() == sim::OpKind::kPcapLoad) {
     ++counters_.launch_blocked;
     ++window_blocked_;
     m_launch_blocked_.add();
   }
   core.submit(
-      board_.params().sched_pass_cost, [this] { run_pass(); }, "pass");
+      board_.params().sched_pass_cost, [this] { run_pass(); },
+      sim::OpKind::kPass);
 }
 
 void BoardRuntime::run_pass() {
@@ -964,8 +999,8 @@ void BoardRuntime::run_pass() {
 }
 
 void BoardRuntime::try_launches() {
-  for (AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
+  for (int id : live_ids()) {
+    AppRun& a = app(id);
     for (UnitRun& u : a.units) {
       if (u.state != UnitState::kRunning || u.item_in_flight) continue;
       if (u.items_done >= a.batch) continue;
@@ -1036,7 +1071,7 @@ void BoardRuntime::launch_item(AppRun& app_ref, UnitRun& unit_ref) {
           });
         });
       },
-      "launch");
+      sim::OpKind::kLaunch);
 }
 
 void BoardRuntime::finish_item(int app_id, int unit_index) {
@@ -1052,8 +1087,7 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
     // unit retries from Pending with its earlier items intact in DDR.
     u.seu_poisoned = false;
     if (u.slot >= 0) board_.slot(u.slot).release();
-    u.state = UnitState::kPending;
-    u.slot = -1;
+    set_unit_state(u, UnitState::kPending, -1);
     touch_phase(a);
     refresh_slot_gauges();
     kick();
@@ -1072,11 +1106,8 @@ void BoardRuntime::finish_item(int app_id, int unit_index) {
 
 void BoardRuntime::finish_unit(UnitRun& unit) {
   touch_utilization();
-  unit.state = UnitState::kFinished;
-  if (unit.slot >= 0) {
-    board_.slot(unit.slot).release();
-  }
-  unit.slot = -1;
+  if (unit.slot >= 0) board_.slot(unit.slot).release();
+  set_unit_state(unit, UnitState::kFinished, -1);
 }
 
 void BoardRuntime::check_app_complete(AppRun& a) {
@@ -1095,6 +1126,7 @@ void BoardRuntime::check_app_complete(AppRun& a) {
     }
   }
   a.completed = sim().now();
+  retire(a);
   ++counters_.apps_completed;
   m_apps_completed_.add();
   m_response_ms_.observe(sim::to_ms(a.completed - a.arrival));
@@ -1122,30 +1154,16 @@ void BoardRuntime::touch_utilization() {
   last_util_touch_ = now;
   if (dt <= 0) return;
 
-  fpga::ResourceVector used;
-  for (const AppRun& a : apps_) {
-    if (a.spec == nullptr || a.done()) continue;
-    for (const UnitRun& u : a.units) {
-      if (u.state == UnitState::kRunning) used += u.spec.impl_usage;
-    }
-  }
-  fpga::ResourceVector occupied;
-  if (full_fabric_app_ >= 0) {
-    occupied = reconfigurable_capacity(board_.fabric(), board_.params());
-  } else {
-    for (const fpga::Slot& s : board_.slots()) {
-      if (s.state() != fpga::SlotState::kIdle) occupied += s.capacity();
-    }
-  }
-  fpga::ResourceVector fabric =
-      reconfigurable_capacity(board_.fabric(), board_.params());
-
-  util_.lut_used += dt * static_cast<double>(used.luts);
-  util_.ff_used += dt * static_cast<double>(used.ffs);
+  // Both sums are current (set_unit_state), so this is O(1); they are
+  // integers, so the integrals match a full rescan bit for bit.
+  const fpga::ResourceVector& occupied =
+      full_fabric_app_ >= 0 ? fabric_capacity_ : slot_occupancy_;
+  util_.lut_used += dt * static_cast<double>(running_usage_.luts);
+  util_.ff_used += dt * static_cast<double>(running_usage_.ffs);
   util_.lut_capacity += dt * static_cast<double>(occupied.luts);
   util_.ff_capacity += dt * static_cast<double>(occupied.ffs);
-  util_.lut_fabric += dt * static_cast<double>(fabric.luts);
-  util_.ff_fabric += dt * static_cast<double>(fabric.ffs);
+  util_.lut_fabric += dt * static_cast<double>(fabric_capacity_.luts);
+  util_.ff_fabric += dt * static_cast<double>(fabric_capacity_.ffs);
 }
 
 }  // namespace vs::runtime

@@ -193,6 +193,31 @@ struct CompletedApp {
   }
 };
 
+/// An open scan of a runtime's live-app index (BoardRuntime::live_ids()).
+/// While any scan is open the runtime neither compacts the index nor
+/// appends to it (both assert so), so a loop over a scan stays valid while
+/// apps retire under it.
+class LiveIds {
+ public:
+  LiveIds(const std::vector<int>& ids, int& open_scans) noexcept
+      : ids_(ids), open_scans_(open_scans) {
+    ++open_scans_;
+  }
+  ~LiveIds() { --open_scans_; }
+  LiveIds(const LiveIds&) = delete;
+  LiveIds& operator=(const LiveIds&) = delete;
+
+  [[nodiscard]] auto begin() const noexcept { return ids_.begin(); }
+  [[nodiscard]] auto end() const noexcept { return ids_.end(); }
+  [[nodiscard]] bool empty() const noexcept { return ids_.empty(); }
+  [[nodiscard]] int front() const { return ids_.front(); }
+  [[nodiscard]] std::vector<int> to_vector() const { return ids_; }
+
+ private:
+  const std::vector<int>& ids_;
+  int& open_scans_;
+};
+
 class BoardRuntime {
  public:
   BoardRuntime(fpga::Board& board, SchedulerPolicy& policy);
@@ -279,9 +304,28 @@ class BoardRuntime {
   /// satisfied (unit 0 is always ready until the batch is exhausted).
   [[nodiscard]] bool item_ready(const AppRun& app, int unit_index) const;
 
-  /// Apps not yet complete.
-  [[nodiscard]] int active_apps() const noexcept;
-  [[nodiscard]] bool drained() const noexcept { return active_apps() == 0; }
+  /// Live-app index: ids of the apps neither done nor extracted, in
+  /// ascending id (= arrival) order — the order every scheduling scan
+  /// visits them in. submit() appends; a retirement (completion or
+  /// extraction) only counts down and marks the index stale, and the next
+  /// scan opened with no other scan open compacts it. A loop over the
+  /// returned scan therefore survives apps retiring under it.
+  [[nodiscard]] LiveIds live_ids() const;
+
+  /// Apps not yet complete (the size of the live-app index).
+  [[nodiscard]] int active_apps() const noexcept { return live_count_; }
+  [[nodiscard]] bool drained() const noexcept { return live_count_ == 0; }
+
+  /// Utilisation integrand, kept current at every unit transition: the
+  /// implementation usage of live apps' running units, and the capacity
+  /// of the slots a unit occupies (reconfiguring or running). runtime::audit
+  /// checks both against a recomputation from unit and slot state.
+  [[nodiscard]] const fpga::ResourceVector& running_usage() const noexcept {
+    return running_usage_;
+  }
+  [[nodiscard]] const fpga::ResourceVector& slot_occupancy() const noexcept {
+    return slot_occupancy_;
+  }
 
   [[nodiscard]] const RuntimeCounters& counters() const noexcept {
     return counters_;
@@ -472,6 +516,12 @@ class BoardRuntime {
   void finish_item(int app_id, int unit_index);
   void finish_unit(UnitRun& unit);
   void check_app_complete(AppRun& app);
+  /// Takes an app out of the live-app index (completion or extraction).
+  void retire(AppRun& a);
+  /// Moves a unit to `next` in `slot` (-1 none, -2 full fabric). Every
+  /// unit transition goes through here, so running_usage_ and
+  /// slot_occupancy_ never miss one.
+  void set_unit_state(UnitRun& u, UnitState next, int slot);
   void touch_utilization();
   /// Recounts the per-state slot occupancy gauges; no-op until bound.
   void refresh_slot_gauges();
@@ -496,6 +546,16 @@ class BoardRuntime {
   SchedulerPolicy& policy_;
   bool dual_core_;
   std::vector<AppRun> apps_;
+  // Live-app index (see live_ids()); compacted lazily, hence mutable.
+  mutable std::vector<int> live_;
+  mutable bool live_stale_ = false;
+  mutable int open_scans_ = 0;
+  int live_count_ = 0;
+  fpga::ResourceVector running_usage_;
+  fpga::ResourceVector slot_occupancy_;
+  /// The whole reconfigurable fabric: fixed for this runtime's lifetime (a
+  /// reboot rebuilds the fabric under a fresh runtime epoch).
+  fpga::ResourceVector fabric_capacity_;
   RuntimeCounters counters_;
   UtilizationIntegral util_;
   std::vector<CompletedApp> completed_;

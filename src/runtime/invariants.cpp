@@ -2,6 +2,7 @@
 
 #include <map>
 #include <sstream>
+#include <vector>
 
 namespace vs::runtime {
 
@@ -141,6 +142,34 @@ InvariantReport audit(const BoardRuntime& rt) {
           done.name + "#" + std::to_string(done.app_id) +
               ": completed before arrival");
   }
+
+  // I9: the live-app index is exactly the brute-force filter of apps(), in
+  // the same order, and active_apps() is its size.
+  std::vector<int> live;
+  for (const AppRun& a : rt.apps()) {
+    if (a.spec != nullptr && !a.done()) live.push_back(a.id);
+  }
+  check(report, rt.live_ids().to_vector() == live,
+        "live-app index disagrees with the app table");
+  check(report, rt.active_apps() == static_cast<int>(live.size()),
+        "active_apps() " + std::to_string(rt.active_apps()) + " but " +
+            std::to_string(live.size()) + " live apps");
+
+  // I10: the incremental utilisation integrand equals a recomputation from
+  // unit and slot state.
+  fpga::ResourceVector used, occupied;
+  for (int id : live) {
+    for (const UnitRun& u : rt.app(id).units) {
+      if (u.state == UnitState::kRunning) used += u.spec.impl_usage;
+    }
+  }
+  for (const fpga::Slot& s : board.slots()) {
+    if (s.state() != fpga::SlotState::kIdle) occupied += s.capacity();
+  }
+  check(report, rt.running_usage() == used,
+        "running_usage() disagrees with running units");
+  check(report, rt.slot_occupancy() == occupied,
+        "slot_occupancy() disagrees with non-idle slots");
 
   return report;
 }

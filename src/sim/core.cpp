@@ -8,9 +8,9 @@ namespace vs::sim {
 Core::Core(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)) {}
 
-void Core::submit(SimDuration duration, EventFn on_done, std::string label) {
+void Core::submit(SimDuration duration, EventFn on_done, OpKind kind) {
   assert(duration >= 0);
-  queue_.push_back(Op{duration, std::move(on_done), std::move(label)});
+  queue_.push_back(Op{duration, std::move(on_done), kind});
   ops_total_.add();
   queue_depth_.add(1.0);
   if (!busy_) start_next();
@@ -38,7 +38,7 @@ void Core::start_next() {
   Op op = std::move(queue_.front());
   queue_.pop_front();
   busy_ = true;
-  current_label_ = std::move(op.label);
+  current_kind_ = op.kind;
   current_end_ = sim_.now() + op.duration;
   busy_time_ += op.duration;
   busy_ns_total_.add(op.duration);
@@ -57,7 +57,6 @@ void Core::reset() {
       busy_ns_total_.add(-remaining);
     }
     busy_ = false;
-    current_label_.clear();
     current_done_ = EventFn{};
   }
   queue_.clear();
@@ -66,7 +65,6 @@ void Core::reset() {
 
 void Core::finish_current() {
   busy_ = false;
-  current_label_.clear();
   queue_depth_.add(-1.0);
   // Move out first: the callback may submit more work and restart the core,
   // which would overwrite current_done_.

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.h"
@@ -19,14 +20,17 @@
 
 namespace vs::sim {
 
+/// What a core operation is. The board runtime tells a scheduler core
+/// suspended by a PCAP load (kPcapLoad) from one doing its own work.
+enum class OpKind : std::uint8_t { kPass, kLaunch, kCheckpoint, kPcapLoad };
+
 class Core {
  public:
   Core(Simulator& sim, std::string name);
 
   /// Enqueues an operation taking `duration` core time; `on_done` fires when
   /// it completes. Returns immediately. Operations run in submission order.
-  void submit(SimDuration duration, EventFn on_done,
-              std::string label = {});
+  void submit(SimDuration duration, EventFn on_done, OpKind kind);
 
   /// True if an operation is executing right now.
   [[nodiscard]] bool busy() const noexcept { return busy_; }
@@ -42,9 +46,10 @@ class Core {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Label of the currently executing operation (empty when idle).
-  [[nodiscard]] const std::string& current_label() const noexcept {
-    return current_label_;
+  /// Kind of the currently executing operation (nullopt when idle).
+  [[nodiscard]] std::optional<OpKind> current_kind() const noexcept {
+    if (!busy_) return std::nullopt;
+    return current_kind_;
   }
 
   /// Registers this core's instruments (labelled by core name) and resolves
@@ -60,7 +65,7 @@ class Core {
   struct Op {
     SimDuration duration;
     EventFn on_done;
-    std::string label;
+    OpKind kind;
   };
 
   void start_next();
@@ -71,7 +76,7 @@ class Core {
   std::deque<Op> queue_;
   bool busy_ = false;
   SimTime current_end_ = 0;
-  std::string current_label_;
+  OpKind current_kind_ = OpKind::kPass;  ///< meaningful only while busy_
   // The in-flight op's completion callback. The core is serially busy, so
   // parking it here lets the scheduled completion event capture only `this`
   // and stay within the event queue's inline closure buffer.

@@ -4,8 +4,11 @@
 // accounting, and migration extraction.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fpga/board.h"
 #include "runtime/board_runtime.h"
+#include "runtime/invariants.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
 
@@ -133,7 +136,7 @@ TEST(BoardRuntime, SingleCorePrSuspendsScheduler) {
   bool checked = false;
   f.sim.schedule(sim::ms(20), [&] {
     EXPECT_TRUE(f.board.scheduler_core().busy());
-    EXPECT_EQ(f.board.scheduler_core().current_label().rfind("pcap:", 0), 0u);
+    EXPECT_EQ(f.board.scheduler_core().current_kind(), sim::OpKind::kPcapLoad);
     checked = true;
   });
   f.sim.run();
@@ -230,6 +233,86 @@ TEST(BoardRuntime, ExtractUnstartedRemovesOnlyUnstarted) {
   f.sim.run();
   EXPECT_TRUE(rt.app(started_id).done());
   EXPECT_TRUE(rt.drained());
+}
+
+// The live-app index through every retirement kind: completion,
+// extract_unstarted and crash, audited after each step.
+TEST(BoardRuntime, LiveIndexTracksEveryRetirement) {
+  Fixture f;
+  ScriptedPolicy policy;
+  BoardRuntime rt(f.board, policy);
+  auto expect_live = [&rt](const std::vector<int>& ids) {
+    EXPECT_EQ(rt.live_ids().to_vector(), ids);
+    EXPECT_EQ(rt.active_apps(), static_cast<int>(ids.size()));
+    InvariantReport report = audit(rt);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+  };
+  apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
+  expect_live({});
+  int a = rt.submit(app, 0, 1, 0);
+  int b = rt.submit(app, 0, 1, 0);
+  int c = rt.submit(app, 0, 1, 0);
+  int d = rt.submit(app, 0, 1, 0);
+  expect_live({a, b, c, d});
+
+  rt.request_pr(a, 0, 0);
+  f.sim.run();
+  ASSERT_TRUE(rt.app(a).done());
+  expect_live({b, c, d});
+
+  rt.request_pr(c, 0, 0);
+  f.sim.run(f.sim.now() + sim::us(1));  // c is mid-PR: slot occupied
+  expect_live({b, c, d});
+  EXPECT_EQ(rt.extract_unstarted().size(), 2u);  // b and d
+  expect_live({c});
+
+  BoardRuntime::CrashReport report = rt.crash();
+  EXPECT_EQ(report.killed.size(), 1u);
+  expect_live({});
+  EXPECT_TRUE(rt.drained());
+}
+
+// A completion inside a scheduling pass whose hook admits new work on the
+// same board (the serving plane's admission pump does exactly this): the
+// completed app leaves the index and the admission joins its tail.
+TEST(BoardRuntime, LiveIndexFollowsAdmissionFromCompletionMidPass) {
+  Fixture f;
+  ScriptedPolicy policy;
+  BoardRuntime rt(f.board, policy);
+  apps::AppSpec app = make_uniform_app("a", 1, sim::ms(1));
+  int waiting = rt.submit(app, 0, 1, 0);
+  int admitted = -1;
+  rt.set_on_app_complete([&](const CompletedApp&) {
+    if (admitted >= 0) return;
+    admitted = rt.submit(app, 0, 1, f.sim.now());
+  });
+  int finished = -1;
+  bool ran = false;
+  policy.set_pass([&](BoardRuntime& r) {
+    if (ran) return;
+    ran = true;
+    // A restore that arrives complete retires inside its own submission.
+    finished = r.submit_with_progress(app, 0, 1, 0, {1});
+    EXPECT_TRUE(r.app(finished).done());
+    EXPECT_EQ(r.live_ids().to_vector(), (std::vector<int>{waiting, admitted}));
+    EXPECT_EQ(r.active_apps(), 2);
+    InvariantReport report = audit(r);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+  });
+  f.sim.run();
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(finished, 1);
+  EXPECT_EQ(admitted, 2);
+  EXPECT_EQ(rt.live_ids().to_vector(), (std::vector<int>{waiting, admitted}));
+
+  // Both remaining apps run to completion; the index drains.
+  rt.request_pr(waiting, 0, 0);
+  rt.request_pr(admitted, 0, 1);
+  f.sim.run();
+  EXPECT_TRUE(rt.live_ids().empty());
+  EXPECT_TRUE(rt.drained());
+  InvariantReport report = audit(rt);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(BoardRuntime, StopAdmissionFlag) {

@@ -100,9 +100,9 @@ TEST(Core, RunsOpsSeriallyInFifoOrder) {
   Simulator sim;
   Core core(sim, "c0");
   std::vector<std::pair<int, SimTime>> done;
-  core.submit(100, [&] { done.emplace_back(1, sim.now()); });
-  core.submit(50, [&] { done.emplace_back(2, sim.now()); });
-  core.submit(10, [&] { done.emplace_back(3, sim.now()); });
+  core.submit(100, [&] { done.emplace_back(1, sim.now()); }, OpKind::kPass);
+  core.submit(50, [&] { done.emplace_back(2, sim.now()); }, OpKind::kPass);
+  core.submit(10, [&] { done.emplace_back(3, sim.now()); }, OpKind::kPass);
   sim.run();
   ASSERT_EQ(done.size(), 3u);
   EXPECT_EQ(done[0], (std::pair<int, SimTime>{1, 100}));
@@ -113,8 +113,8 @@ TEST(Core, RunsOpsSeriallyInFifoOrder) {
 TEST(Core, BusyAndBacklogReflectQueue) {
   Simulator sim;
   Core core(sim, "c0");
-  core.submit(100, [] {});
-  core.submit(100, [] {});
+  core.submit(100, [] {}, OpKind::kPass);
+  core.submit(100, [] {}, OpKind::kPass);
   EXPECT_TRUE(core.busy());
   EXPECT_EQ(core.backlog(), 1u);
   sim.run();
@@ -126,8 +126,8 @@ TEST(Core, AvailableAtAccountsForQueuedWork) {
   Simulator sim;
   Core core(sim, "c0");
   EXPECT_EQ(core.available_at(), 0);
-  core.submit(100, [] {});
-  core.submit(50, [] {});
+  core.submit(100, [] {}, OpKind::kPass);
+  core.submit(50, [] {}, OpKind::kPass);
   EXPECT_EQ(core.available_at(), 150);
 }
 
@@ -135,10 +135,13 @@ TEST(Core, CompletionCallbackCanResubmit) {
   Simulator sim;
   Core core(sim, "c0");
   std::vector<SimTime> ends;
-  core.submit(10, [&] {
-    ends.push_back(sim.now());
-    core.submit(10, [&] { ends.push_back(sim.now()); });
-  });
+  core.submit(
+      10,
+      [&] {
+        ends.push_back(sim.now());
+        core.submit(10, [&] { ends.push_back(sim.now()); }, OpKind::kPass);
+      },
+      OpKind::kPass);
   sim.run();
   EXPECT_EQ(ends, (std::vector<SimTime>{10, 20}));
 }
@@ -146,8 +149,8 @@ TEST(Core, CompletionCallbackCanResubmit) {
 TEST(Core, TracksBusyTime) {
   Simulator sim;
   Core core(sim, "c0");
-  core.submit(100, [] {});
-  core.submit(25, [] {});
+  core.submit(100, [] {}, OpKind::kPass);
+  core.submit(25, [] {}, OpKind::kPass);
   sim.run();
   EXPECT_EQ(core.busy_time(), 125);
 }
@@ -156,15 +159,14 @@ TEST(Core, LabelVisibleWhileExecuting) {
   Simulator sim;
   Core core(sim, "c0");
   bool checked = false;
-  core.submit(
-      100, [] {}, "pcap:load");
+  core.submit(100, [] {}, OpKind::kPcapLoad);
   sim.schedule(50, [&] {
-    EXPECT_EQ(core.current_label(), "pcap:load");
+    EXPECT_EQ(core.current_kind(), OpKind::kPcapLoad);
     checked = true;
   });
   sim.run();
   EXPECT_TRUE(checked);
-  EXPECT_TRUE(core.current_label().empty());
+  EXPECT_EQ(core.current_kind(), std::nullopt);
 }
 
 }  // namespace
