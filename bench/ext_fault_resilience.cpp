@@ -531,21 +531,10 @@ int main(int argc, char** argv) {
     (void)metrics::run_cluster(suite, sequences[0], options,
                                sim::seconds(36000.0),
                                metrics_out.empty() ? nullptr : &telemetry);
-    if (!metrics_out.empty()) {
-      telemetry.info().config.emplace_back("bench", "ext_fault_resilience");
-      telemetry.info().config.emplace_back("mode", "ckpt-delta+precopy");
-      telemetry.write_outputs(metrics_out);
-      std::cout << "Telemetry written to " << metrics_out
-                << ".{prom,jsonl,report.json}\n";
-    }
-    if (!trace_out.empty()) {
-      hub.write_chrome_trace_file(trace_out);
-      std::cout << "Chrome trace written to " << trace_out << "\n";
-    }
-    if (!journal_out.empty()) {
-      hub.write_journal_file(journal_out);
-      std::cout << "Run journal written to " << journal_out << "\n";
-    }
+    telemetry.info().config.emplace_back("bench", "ext_fault_resilience");
+    telemetry.info().config.emplace_back("mode", "ckpt-delta+precopy");
+    obs::write_bench_outputs(telemetry, hub, metrics_out, trace_out,
+                             journal_out, std::cout);
   }
   return 0;
 }

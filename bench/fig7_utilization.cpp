@@ -208,20 +208,9 @@ int main(int argc, char** argv) {
     }
     (void)metrics::run_single_board(metrics::SystemKind::kVersaBigLittle,
                                     suite, sequences[0], opts);
-    if (!metrics_out.empty()) {
-      telemetry.info().config.emplace_back("figure", "fig7");
-      telemetry.write_outputs(metrics_out);
-      std::cout << "Telemetry written to " << metrics_out
-                << ".{prom,jsonl,report.json}\n";
-    }
-    if (!trace_out.empty()) {
-      hub.write_chrome_trace_file(trace_out);
-      std::cout << "Chrome trace written to " << trace_out << "\n";
-    }
-    if (!journal_out.empty()) {
-      hub.write_journal_file(journal_out);
-      std::cout << "Run journal written to " << journal_out << "\n";
-    }
+    telemetry.info().config.emplace_back("figure", "fig7");
+    obs::write_bench_outputs(telemetry, hub, metrics_out, trace_out,
+                             journal_out, std::cout);
   }
   return 0;
 }

@@ -131,12 +131,16 @@ int main(int argc, char** argv) {
   }
 
   metrics::RunOptions options;
-  options.record_trace = args.has("trace");
-  options.trace_path = args.get("trace");
+  obs::ClusterTraceHub hub;
+  if (args.has("trace")) {
+    hub.enable_trace();
+    options.hub = &hub;
+  }
   metrics::RunResult r =
       metrics::run_single_board(kind, suite, sequence, options);
-  if (options.record_trace) {
-    std::cout << "trace written to " << options.trace_path << "\n";
+  if (args.has("trace")) {
+    hub.write_chrome_trace_file(args.get("trace"));
+    std::cout << "trace written to " << args.get("trace") << "\n";
   }
 
   std::cout << r.system << ": " << r.completed << "/" << r.submitted

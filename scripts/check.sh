@@ -2,10 +2,10 @@
 # Repository check gate: the tier-1 build + full test suite, a smoke run of
 # the substrate micro-benchmarks (which carry the event kernel's
 # zero-allocation probe, including the telemetry-handle overhead bench), the
-# telemetry demo and the export smokes of the fault, checkpoint, trace,
-# serving and rack benches, then the golden gate: the committed CSVs at the
-# repository root are regenerated in a temporary directory and must match
-# byte for byte. The benchmark's self-tests come next: every workload's
+# telemetry demo, the export smokes of the fault, checkpoint, trace,
+# serving and rack benches and of simulate --trace, then the golden gate:
+# the committed CSVs at the repository root are regenerated in a temporary
+# directory and must match byte for byte. The benchmark's self-tests come next: every workload's
 # seed-2025 digest of simulated results must equal its pin, and traced and
 # untraced runs must agree, so a change meant to leave behaviour alone is
 # checked against all four benchmark workloads too. Sanitizer passes follow: ThreadSanitizer over the suites
@@ -84,6 +84,24 @@ grep -q 'vs_app_phase_ms' build/trace_smoke.prom
 grep -q '"phases": \[' build/trace_smoke.report.json
 grep -q '"event":"crash"' build/trace_smoke.jsonl
 grep -q '"event":"readmit"' build/trace_smoke.jsonl
+# The sweep's worker count must never reach an export: the same replay on
+# one worker must write the same trace, journal and Prometheus file.
+(cd build && VS_JOBS=1 ./bench/ext_fault_resilience --apps 12 --seqs 1 \
+  --metrics-out trace_smoke_j1 --trace-out trace_smoke_j1.json \
+  --journal-out trace_smoke_j1.jsonl >/dev/null)
+cmp build/trace_smoke.json build/trace_smoke_j1.json
+cmp build/trace_smoke.jsonl build/trace_smoke_j1.jsonl
+cmp build/trace_smoke.prom build/trace_smoke_j1.prom
+
+echo "== single-board Chrome trace smoke (plain-decimal ts/dur) =="
+# simulate --trace exports through the trace hub like every bench; its
+# microsecond timestamps must be plain decimals, never exponent notation.
+./build/examples/simulate --trace build/simulate_smoke.json >/dev/null
+grep -q '"ph":"X"' build/simulate_smoke.json
+if grep -qE '"(ts|dur)":-?[0-9.]*[eE]' build/simulate_smoke.json; then
+  echo "simulate --trace wrote an exponent-notation ts or dur" >&2
+  exit 1
+fi
 
 echo "== multi-tenant serving smoke (vs_tenant_* metrics in exports) =="
 # Run from build/ so the CSV the smoke writes cannot clobber the committed
@@ -138,7 +156,7 @@ fi
 
 # Event-kernel, telemetry, fault, checkpoint and serving suites: the
 # memory-safety and undefined-behaviour passes share one filter.
-SANITIZE_FILTER='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:ChromeTraceExport.*:TraceRecorder.*:TraceRecorderCapacity.*:TraceHub.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
+SANITIZE_FILTER='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== AddressSanitizer: event kernel + telemetry =="

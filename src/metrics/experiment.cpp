@@ -12,7 +12,6 @@
 #include "fpga/board.h"
 #include "obs/trace_hub.h"
 #include "sim/simulator.h"
-#include "sim/trace_export.h"
 
 namespace vs::metrics {
 
@@ -85,7 +84,6 @@ RunResult run_single_board(SystemKind kind,
   RunResult result;
   result.system = system_name(kind);
   result.submitted = static_cast<int>(sequence.size());
-  std::vector<sim::Span> spans;
 
   // Folds a finished (crashed or drained) epoch into the run totals.
   // Epochs retire in order and a frozen epoch completes nothing further,
@@ -114,15 +112,12 @@ RunResult run_single_board(SystemKind kind,
     result.utilization.ff_capacity += u.ff_capacity;
     result.utilization.lut_fabric += u.lut_fabric;
     result.utilization.ff_fabric += u.ff_fabric;
-    spans.insert(spans.end(), rt.trace().spans().begin(),
-                 rt.trace().spans().end());
   };
 
   auto new_epoch = [&]() -> runtime::BoardRuntime& {
     EpochState e;
     e.policy = make_policy(kind, options.vs_options);
     e.runtime = std::make_unique<runtime::BoardRuntime>(board, *e.policy);
-    e.runtime->trace().enable(options.record_trace);
     e.runtime->enable_checkpoints(options.checkpoint);
     if (options.phase_accounting) e.runtime->enable_phase_accounting();
     if (options.telemetry != nullptr) {
@@ -271,9 +266,6 @@ RunResult run_single_board(SystemKind kind,
   sim.run(options.time_limit);
 
   if (!epochs.back().runtime->crashed()) retire(*epochs.back().runtime);
-  if (options.record_trace && !options.trace_path.empty()) {
-    sim::write_chrome_trace_file(spans, options.trace_path);
-  }
   // Snapshot span logs into the hub before the epochs are torn down so the
   // caller can export after this function returns.
   if (options.hub != nullptr) options.hub->seal();

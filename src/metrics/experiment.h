@@ -77,10 +77,6 @@ struct RunResult {
 struct RunOptions {
   fpga::BoardParams board_params;
   core::VersaSlotOptions vs_options;
-  bool record_trace = false;
-  /// When record_trace is set and this is non-empty, the span log is also
-  /// written as Chrome trace-event JSON to this path after the run.
-  std::string trace_path;
   /// Overrides the system's default fabric (design-space exploration of
   /// "any Big/Little configuration", §III-A).
   std::optional<fpga::FabricConfig> fabric;

@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
 
+#include "obs/trace_hub.h"
 #include "util/cli.h"
 
 namespace vs::obs {
@@ -61,6 +63,26 @@ std::string resolve_trace_out(const util::CliArgs* args) {
 
 std::string resolve_journal_out(const util::CliArgs* args) {
   return resolve_out(args, "journal-out", "VS_JOURNAL");
+}
+
+void write_bench_outputs(const Telemetry& telemetry,
+                         const ClusterTraceHub& hub,
+                         const std::string& metrics_out,
+                         const std::string& trace_out,
+                         const std::string& journal_out, std::ostream& log) {
+  if (!metrics_out.empty()) {
+    telemetry.write_outputs(metrics_out);
+    log << "Telemetry written to " << metrics_out
+        << ".{prom,jsonl,report.json}\n";
+  }
+  if (!trace_out.empty()) {
+    hub.write_chrome_trace_file(trace_out);
+    log << "Chrome trace written to " << trace_out << "\n";
+  }
+  if (!journal_out.empty()) {
+    hub.write_journal_file(journal_out);
+    log << "Run journal written to " << journal_out << "\n";
+  }
 }
 
 }  // namespace vs::obs

@@ -14,6 +14,7 @@
 // threads.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 
 #include "obs/export.h"
@@ -30,6 +31,8 @@ class CliArgs;
 }  // namespace vs::util
 
 namespace vs::obs {
+
+class ClusterTraceHub;
 
 class Telemetry {
  public:
@@ -74,5 +77,16 @@ class Telemetry {
 /// Run-journal output path: `--journal-out` flag, then VS_JOURNAL. Empty
 /// means the journal stays off.
 [[nodiscard]] std::string resolve_journal_out(const util::CliArgs* args);
+
+/// Writes a bench's instrumented-replay outputs, each to its resolved path
+/// (an empty path skips that output), and names every file written on
+/// `log`: telemetry under the `metrics_out` prefix, the hub's Chrome trace
+/// to `trace_out`, and its run journal to `journal_out`. Throws
+/// std::runtime_error when a file cannot be opened.
+void write_bench_outputs(const Telemetry& telemetry,
+                         const ClusterTraceHub& hub,
+                         const std::string& metrics_out,
+                         const std::string& trace_out,
+                         const std::string& journal_out, std::ostream& log);
 
 }  // namespace vs::obs

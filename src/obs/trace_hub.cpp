@@ -110,12 +110,8 @@ void ClusterTraceHub::attach_spans(const std::string& board,
 void ClusterTraceHub::seal() {
   for (auto& [board, recs] : recorders_) {
     std::vector<sim::Span>& dst = sealed_spans_[board];
-    std::uint64_t& dropped = sealed_dropped_[board];
     for (const sim::TraceRecorder* rec : recs) {
-      std::vector<sim::Span> spans = rec->ordered_spans();
-      dst.insert(dst.end(), std::make_move_iterator(spans.begin()),
-                 std::make_move_iterator(spans.end()));
-      dropped += rec->dropped();
+      dst.insert(dst.end(), rec->spans().begin(), rec->spans().end());
     }
     recs.clear();
   }
@@ -178,27 +174,17 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
     int pid;
     int tid;
   };
-  std::vector<sim::Span> storage;  // ring-unrolled copies stay alive
   std::vector<PlacedSpan> placed;
-  std::vector<std::pair<std::size_t, std::size_t>> board_ranges;
   for (const std::string& b : board_order_) {
-    std::size_t begin = storage.size();
+    auto place = [&](const std::vector<sim::Span>& spans) {
+      for (const sim::Span& s : spans) {
+        placed.push_back(PlacedSpan{&s, pid[b], intern_lane(b, s.lane)});
+      }
+    };
     if (auto sit = sealed_spans_.find(b); sit != sealed_spans_.end()) {
-      storage.insert(storage.end(), sit->second.begin(), sit->second.end());
+      place(sit->second);
     }
-    for (const sim::TraceRecorder* rec : recorders_.at(b)) {
-      std::vector<sim::Span> spans = rec->ordered_spans();
-      storage.insert(storage.end(), spans.begin(), spans.end());
-    }
-    board_ranges.emplace_back(begin, storage.size());
-  }
-  for (std::size_t bi = 0; bi < board_order_.size(); ++bi) {
-    const std::string& b = board_order_[bi];
-    for (std::size_t i = board_ranges[bi].first; i < board_ranges[bi].second;
-         ++i) {
-      const sim::Span& s = storage[i];
-      placed.push_back(PlacedSpan{&s, pid[b], intern_lane(b, s.lane)});
-    }
+    for (const sim::TraceRecorder* rec : recorders_.at(b)) place(rec->spans());
   }
   for (const FlowPoint& f : flows) intern_lane(f.board, f.lane);
   std::stable_sort(placed.begin(), placed.end(),
@@ -221,19 +207,6 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
     sep();
     out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid[b]
         << ",\"args\":{\"name\":\"" << json_escape(b) << "\"}}";
-    auto rit = recorders_.find(b);
-    if (rit != recorders_.end()) {
-      std::uint64_t dropped = 0;
-      if (auto dit = sealed_dropped_.find(b); dit != sealed_dropped_.end()) {
-        dropped += dit->second;
-      }
-      for (const sim::TraceRecorder* rec : rit->second) {
-        dropped += rec->dropped();
-      }
-      sep();
-      out << "{\"name\":\"vs_dropped_spans\",\"ph\":\"M\",\"pid\":" << pid[b]
-          << ",\"args\":{\"dropped\":" << dropped << "}}";
-    }
     for (const std::string& lane : lane_order[b]) {
       sep();
       out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid[b]

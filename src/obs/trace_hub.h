@@ -14,6 +14,8 @@
 // The hub also aggregates every board's sim::TraceRecorder span log and
 // renders the whole cluster as a single Chrome trace: one process per board
 // (pid = attach order), one thread per lane, plus the flow events above.
+// It is the simulator's only Chrome-trace writer: single-board runs
+// (metrics::RunOptions::hub) and the examples export through it too.
 //
 // Each channel is written only by its owning board (or the cluster); storage
 // is a deque so creating a channel never moves existing ones. Merging for
@@ -152,16 +154,18 @@ class ClusterTraceHub {
   /// recorder's spans merge into that process's timeline.
   void attach_spans(const std::string& board, const sim::TraceRecorder* rec);
 
-  /// Snapshots every attached recorder's spans and dropped count into
-  /// hub-owned storage and forgets the recorder pointers. The run harness
-  /// calls this before tearing the board runtimes down, so exports remain
-  /// valid after the run returns. Recorders attached later append as usual.
+  /// Snapshots every attached recorder's spans into hub-owned storage and
+  /// forgets the recorder pointers. The run harness calls this before
+  /// tearing the board runtimes down, so exports remain valid after the run
+  /// returns. Recorders attached later append as usual.
   void seal();
 
-  /// Chrome trace-event JSON: span "X" events per board process, metadata
-  /// ("process_name", per-lane "thread_name", "vs_dropped_spans" with each
-  /// board's capacity-bound losses), and "s"/"t"/"f" flow events.
+  /// Chrome trace-event JSON: span "X" events per board process (ts and
+  /// dur in microseconds, shortest round-trip decimals), metadata
+  /// ("process_name", per-lane "thread_name"), and "s"/"t"/"f" flow
+  /// events.
   void write_chrome_trace(std::ostream& out) const;
+  /// Throws std::runtime_error when the file cannot be opened.
   void write_chrome_trace_file(const std::string& path) const;
 
   /// Run journal as JSONL, one record per line, in canonical merged order.
@@ -182,7 +186,6 @@ class ClusterTraceHub {
   std::vector<std::string> board_order_;  ///< pid = index + 1
   std::map<std::string, std::vector<const sim::TraceRecorder*>> recorders_;
   std::map<std::string, std::vector<sim::Span>> sealed_spans_;
-  std::map<std::string, std::uint64_t> sealed_dropped_;
 };
 
 /// Parses JSONL produced by write_journal back into records (round-trip

@@ -1,10 +1,9 @@
 // Execution trace recording for timeline rendering (Fig 2 reproduction) and
 // debugging. Components append spans (start, end, lane, label); the ASCII
-// Gantt renderer in examples/pipeline_timeline.cpp consumes them.
+// Gantt renderer below and obs::ClusterTraceHub's Chrome-trace export
+// consume them.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,87 +28,36 @@ struct Span {
   SpanKind kind = SpanKind::kMarker;
 };
 
-/// Memory-bounding behaviour once a TraceRecorder reaches its capacity.
-enum class TraceCapacityMode {
-  kUnbounded,  ///< grow without limit (the default)
-  kDrop,       ///< keep the oldest spans, drop new ones
-  kRing,       ///< keep the newest spans, overwrite the oldest
-};
-
 /// Append-only span log. Disabled by default (no allocation cost in
-/// benchmark runs); enable for examples and debugging. Long traced cluster
-/// runs bound its memory with set_capacity(); every span lost to the bound
-/// is counted in dropped() and surfaced in the trace export header.
+/// benchmark runs); enable for examples and debugging. Chrome-trace export
+/// goes through obs::ClusterTraceHub (attach_spans, then
+/// write_chrome_trace_file).
 class TraceRecorder {
  public:
   void enable(bool on = true) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Bounds the log to `max_spans` (0 restores unbounded growth). In kDrop
-  /// mode spans past the bound are discarded; in kRing mode they overwrite
-  /// the oldest recorded span. Either way dropped() counts the losses.
-  void set_capacity(std::size_t max_spans,
-                    TraceCapacityMode mode = TraceCapacityMode::kRing) {
-    capacity_ = max_spans;
-    mode_ = max_spans == 0 ? TraceCapacityMode::kUnbounded : mode;
-  }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] TraceCapacityMode capacity_mode() const noexcept {
-    return mode_;
-  }
-  /// Spans lost to the capacity bound (discarded or overwritten).
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-
   void add(Span span) {
-    if (!enabled_) return;
-    if (mode_ != TraceCapacityMode::kUnbounded && spans_.size() >= capacity_) {
-      ++dropped_;
-      if (mode_ == TraceCapacityMode::kRing) {
-        spans_[ring_head_] = std::move(span);
-        ring_head_ = (ring_head_ + 1) % capacity_;
-      }
-      return;
-    }
-    spans_.push_back(std::move(span));
+    if (enabled_) spans_.push_back(std::move(span));
   }
   void add(SimTime start, SimTime end, std::string lane, std::string label,
            SpanKind kind) {
     if (enabled_) {
-      add(Span{start, end, std::move(lane), std::move(label), kind});
+      spans_.push_back(
+          Span{start, end, std::move(lane), std::move(label), kind});
     }
   }
 
-  /// Raw storage order: append order until the bound is hit; in kRing mode
-  /// the slot at the ring head holds the oldest surviving span.
+  /// Spans in append order.
   [[nodiscard]] const std::vector<Span>& spans() const noexcept {
     return spans_;
   }
-  /// Spans in recording order, unrolling the ring when it wrapped. Equal to
-  /// spans() for unbounded and kDrop recorders.
-  [[nodiscard]] std::vector<Span> ordered_spans() const {
-    std::vector<Span> out;
-    out.reserve(spans_.size());
-    out.insert(out.end(), spans_.begin() + static_cast<std::ptrdiff_t>(
-                                               ring_head_),
-               spans_.end());
-    out.insert(out.end(), spans_.begin(),
-               spans_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
-    return out;
-  }
   /// Drops all spans AND releases their capacity (swap idiom): long sweep
-  /// runs that toggle tracing must not retain peak span memory. The
-  /// capacity bound and the dropped counter survive a clear.
-  void clear() noexcept {
-    std::vector<Span>().swap(spans_);
-    ring_head_ = 0;
-  }
+  /// runs that toggle tracing must not retain peak span memory.
+  void clear() noexcept { std::vector<Span>().swap(spans_); }
 
  private:
   bool enabled_ = false;
-  std::size_t capacity_ = 0;
-  TraceCapacityMode mode_ = TraceCapacityMode::kUnbounded;
-  std::size_t ring_head_ = 0;
-  std::uint64_t dropped_ = 0;
   std::vector<Span> spans_;
 };
 

@@ -17,6 +17,8 @@
 //      detection can only merge them).
 //   4. Bit-identity: a telemetry-instrumented replay produces the same
 //      run, byte for byte, under correlated faults.
+//   5. Mirrors: every recovery, checkpoint, switch and pre-copy statistic
+//      in the run result equals its registry counter.
 //
 // Plus the spare-pool exhaustion edge cases: every rack (spanning both
 // pools) dying simultaneously with zero spares must still drain with
@@ -24,6 +26,8 @@
 // must re-queue the in-flight apps instead of losing them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,7 +35,9 @@
 #include "cluster/cluster.h"
 #include "faults/scenario.h"
 #include "metrics/experiment.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "runtime/checkpoint.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -205,6 +211,102 @@ TEST_P(ChaosCampaign, InvariantsHoldAndTelemetryAgrees) {
     if (row.name == "vs_rack_events_total") rack_total += row.cell.value();
   }
   EXPECT_EQ(rack_total, static_cast<double>(serial.recovery.rack_events));
+}
+
+// Sum over every registry counter row named `name` whose labels include
+// all of `match`: per-board rows add up to the run total, and an
+// instrument that was never registered totals zero.
+double counter_total(const obs::MetricsRegistry& reg, const std::string& name,
+                     const obs::Labels& match = {}) {
+  double total = 0;
+  for (const auto& row : reg.counters()) {
+    if (row.name != name) continue;
+    const bool matches =
+        std::all_of(match.begin(), match.end(), [&](const auto& kv) {
+          return std::find(row.labels.begin(), row.labels.end(), kv) !=
+                 row.labels.end();
+        });
+    if (matches) total += row.cell.value();
+  }
+  return total;
+}
+
+// Every statistic the run result reports is also counted into the
+// registry at the same site; the two must agree exactly. Checkpointing (in
+// delta mode) and pre-copy migration are forced on so their mirrors are
+// exercised too.
+TEST_P(ChaosCampaign, StatsEqualTheirRegistryMirrors) {
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  ChaosCase c = make_case(GetParam());
+  c.options.checkpoint.enabled = true;
+  c.options.checkpoint.delta = true;
+  c.options.migration.precopy = true;
+  SCOPED_TRACE(c.describe + " ckpt=delta precopy=1");
+  obs::Telemetry telemetry;
+  auto r = metrics::run_cluster(suite, c.sequence, c.options,
+                                sim::seconds(36000.0), &telemetry);
+  const obs::MetricsRegistry& reg = telemetry.registry();
+  auto total = [&](const std::string& name, const obs::Labels& match = {}) {
+    return counter_total(reg, name, match);
+  };
+  auto d = [](auto v) { return static_cast<double>(v); };
+
+  const cluster::RecoveryStats& rs = r.recovery;
+  EXPECT_EQ(total("vs_faults_injected_total", {{"kind", "board_crash"}}),
+            d(rs.boards_crashed));
+  EXPECT_EQ(total("vs_faults_recovered_total", {{"kind", "board_reboot"}}),
+            d(rs.boards_rebooted));
+  EXPECT_EQ(total("vs_faults_injected_total", {{"kind", "link_down"}}),
+            d(rs.link_flaps));
+  EXPECT_EQ(total("vs_faults_injected_total", {{"kind", "slot_seu"}}),
+            d(rs.slot_seus));
+  EXPECT_EQ(total("vs_recovery_evacuated_apps_total"), d(rs.apps_evacuated));
+  EXPECT_EQ(total("vs_recovery_checkpoint_restored_apps_total"),
+            d(rs.apps_checkpoint_restored));
+  EXPECT_EQ(total("vs_recovery_restarted_apps_total"), d(rs.apps_restarted));
+  EXPECT_EQ(total("vs_recovery_lost_apps_total"), d(rs.apps_lost));
+  EXPECT_EQ(total("vs_recovery_shed_apps_total"), d(rs.apps_shed));
+  EXPECT_EQ(total("vs_recovery_readmissions_total"), d(rs.readmissions));
+  EXPECT_EQ(total("vs_rack_events_total"), d(rs.rack_events));
+  EXPECT_EQ(total("vs_recovery_spare_exhausted_total"),
+            d(rs.spare_exhausted));
+  EXPECT_EQ(total("vs_throttle_deferred_total"), d(rs.arrivals_deferred));
+  EXPECT_EQ(total("vs_throttle_shed_total"), d(rs.arrivals_shed));
+  const obs::Histogram* mttr = reg.find_histogram("vs_recovery_mttr_ms");
+  ASSERT_NE(mttr, nullptr);
+  EXPECT_EQ(mttr->count(), static_cast<std::uint64_t>(rs.mttr_count));
+  EXPECT_NEAR(mttr->sum(), sim::to_ms(rs.mttr_total),
+              1e-9 * std::max(1.0, sim::to_ms(rs.mttr_total)));
+
+  // vs_ckpt_dirty_bytes_total counts region payload only; a delta's bytes
+  // in CheckpointStats also carry its fixed header.
+  const runtime::CheckpointStats& cs = r.checkpoint;
+  EXPECT_EQ(total("vs_ckpt_snapshots_total"), d(cs.bases + cs.deltas));
+  EXPECT_EQ(total("vs_ckpt_deltas_total"), d(cs.deltas));
+  EXPECT_EQ(total("vs_ckpt_compactions_total"), d(cs.compactions));
+  EXPECT_EQ(total("vs_ckpt_bytes_total"), d(cs.total_bytes()));
+  EXPECT_EQ(total("vs_ckpt_dirty_bytes_total"),
+            d(cs.delta_bytes - cs.deltas * runtime::kCkptDeltaHeaderBytes));
+  EXPECT_EQ(total("vs_ckpt_dirty_regions_total"), d(cs.dirty_regions));
+  EXPECT_EQ(total("vs_ckpt_skipped_total", {{"reason", "clean"}}),
+            d(cs.skipped_clean));
+  EXPECT_EQ(total("vs_ckpt_skipped_total", {{"reason", "empty"}}),
+            d(cs.skipped_empty));
+
+  EXPECT_EQ(total("vs_dswitch_switches_total"), d(r.switches.size()));
+  // Failover switches (dswitch == -1) list the displaced apps they moved
+  // in apps_migrated, but vs_cluster_migrated_apps_total counts D_switch
+  // migrations only.
+  std::int64_t dswitch_migrated = 0, rounds = 0, precopy_bytes = 0;
+  for (const cluster::SwitchEvent& e : r.switches) {
+    if (e.dswitch >= 0) dswitch_migrated += e.apps_migrated;
+    rounds += e.precopy_rounds;
+    precopy_bytes += e.precopy_bytes;
+  }
+  EXPECT_EQ(total("vs_cluster_migrated_apps_total"), d(dswitch_migrated));
+  EXPECT_EQ(total("vs_migration_rounds_total"), d(rounds));
+  EXPECT_EQ(total("vs_migration_precopy_bytes_total"), d(precopy_bytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosCampaign,

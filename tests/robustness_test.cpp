@@ -12,10 +12,10 @@
 #include "faults/scenario.h"
 #include "fpga/board.h"
 #include "metrics/experiment.h"
+#include "obs/trace_hub.h"
 #include "runtime/board_runtime.h"
 #include "runtime/invariants.h"
 #include "sim/simulator.h"
-#include "sim/trace_export.h"
 #include "test_helpers.h"
 #include "workload/generator.h"
 
@@ -205,15 +205,19 @@ TEST(FaultInjection, WholeSystemSurvivesFlakyPcap) {
 }
 
 // ----------------------------------------------------------- trace export
+// A single board's span log exports through obs::ClusterTraceHub, the one
+// Chrome-trace writer.
 
 TEST(TraceExport, EmitsValidChromeJson) {
-  std::vector<sim::Span> spans{
-      {0, sim::ms(10), "L0", "App1.T1 PR", sim::SpanKind::kReconfig},
-      {sim::ms(10), sim::ms(15), "L0", "App1.T1 B1", sim::SpanKind::kExec},
-      {sim::ms(2), sim::ms(4), "PS0", "pass \"q\"", sim::SpanKind::kCoreOp},
-  };
+  sim::TraceRecorder rec;
+  rec.enable();
+  rec.add(0, sim::ms(10), "L0", "App1.T1 PR", sim::SpanKind::kReconfig);
+  rec.add(sim::ms(10), sim::ms(15), "L0", "App1.T1 B1", sim::SpanKind::kExec);
+  rec.add(sim::ms(2), sim::ms(4), "PS0", "pass \"q\"", sim::SpanKind::kCoreOp);
+  obs::ClusterTraceHub hub;
+  hub.attach_spans("b0", &rec);
   std::ostringstream out;
-  sim::write_chrome_trace(spans, out);
+  hub.write_chrome_trace(out);
   std::string json = out.str();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -228,10 +232,13 @@ TEST(TraceExport, EmitsValidChromeJson) {
 }
 
 TEST(TraceExport, FileRoundTrip) {
-  std::vector<sim::Span> spans{
-      {0, 100, "lane", "x", sim::SpanKind::kExec}};
+  sim::TraceRecorder rec;
+  rec.enable();
+  rec.add(0, 100, "lane", "x", sim::SpanKind::kExec);
+  obs::ClusterTraceHub hub;
+  hub.attach_spans("b0", &rec);
   std::string path = testing::TempDir() + "/vs_trace.json";
-  sim::write_chrome_trace_file(spans, path);
+  hub.write_chrome_trace_file(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
@@ -241,9 +248,9 @@ TEST(TraceExport, FileRoundTrip) {
 }
 
 TEST(TraceExport, ThrowsOnBadPath) {
-  EXPECT_THROW(
-      sim::write_chrome_trace_file({}, "/nonexistent_dir_xyz/trace.json"),
-      std::runtime_error);
+  obs::ClusterTraceHub hub;
+  EXPECT_THROW(hub.write_chrome_trace_file("/nonexistent_dir_xyz/trace.json"),
+               std::runtime_error);
 }
 
 TEST(TraceExport, RealRunExportsAllSpanKinds) {
@@ -253,11 +260,30 @@ TEST(TraceExport, RealRunExportsAllSpanKinds) {
   config.apps_per_sequence = 4;
   util::Rng rng(3);
   auto seq = workload::generate_sequence(config, rng);
+  obs::ClusterTraceHub hub;
+  hub.enable_trace();
   metrics::RunOptions options;
-  options.record_trace = true;
+  options.hub = &hub;
   auto r = metrics::run_single_board(metrics::SystemKind::kVersaBigLittle,
                                      suite, seq, options);
   EXPECT_EQ(r.completed, 4);
+  // The harness sealed the run's spans into the hub before its board
+  // epochs were torn down; both kinds the runtime records are exported.
+  std::ostringstream out;
+  hub.write_chrome_trace(out);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"cat\":\"reconfig\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"exec\""), std::string::npos);
+  // Timestamps and durations are plain decimals, never exponent notation.
+  for (const std::string key : {"\"ts\":", "\"dur\":"}) {
+    for (auto at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+      const auto value = json.substr(at + key.size(),
+                                     json.find_first_of(",}", at) -
+                                         (at + key.size()));
+      EXPECT_EQ(value.find_first_of("eE"), std::string::npos) << value;
+    }
+  }
 }
 
 // ------------------------------------------------------------------- DML

@@ -1,6 +1,6 @@
 // Cluster-wide causal observability tests: the trace hub's merged Chrome
 // trace with flow events, the structured run journal and its round-trip
-// parser, TraceRecorder capacity bounds, response-time phase accounting
+// parser, the TraceRecorder span log, response-time phase accounting
 // (phases sum exactly to response time across fault scenarios, and runs
 // repeat bit for bit), and the pinned guarantee that none of it perturbs an
 // uninstrumented run.
@@ -29,53 +29,20 @@
 namespace vs::obs {
 namespace {
 
-// ------------------------------------------------------- recorder capacity
+// --------------------------------------------------------- span recorder
 
-TEST(TraceRecorderCapacity, RingModeKeepsNewestAndCountsLosses) {
-  sim::TraceRecorder rec;
-  rec.enable();
-  rec.set_capacity(3, sim::TraceCapacityMode::kRing);
-  for (int i = 1; i <= 5; ++i) {
-    rec.add(i * 100, i * 100 + 10, "lane", "s" + std::to_string(i),
-            sim::SpanKind::kMarker);
+TEST(TraceRecorder, ClearReleasesSpanCapacity) {
+  sim::TraceRecorder recorder;
+  recorder.enable();
+  for (int i = 0; i < 1000; ++i) {
+    recorder.add(i, i + 1, "lane", "label", sim::SpanKind::kMarker);
   }
-  EXPECT_EQ(rec.spans().size(), 3u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  auto ordered = rec.ordered_spans();
-  ASSERT_EQ(ordered.size(), 3u);
-  EXPECT_EQ(ordered[0].label, "s3");
-  EXPECT_EQ(ordered[1].label, "s4");
-  EXPECT_EQ(ordered[2].label, "s5");
-  // Oldest-first: the unrolled ring is in append order.
-  EXPECT_LT(ordered[0].start, ordered[2].start);
-}
-
-TEST(TraceRecorderCapacity, DropModeKeepsOldest) {
-  sim::TraceRecorder rec;
-  rec.enable();
-  rec.set_capacity(2, sim::TraceCapacityMode::kDrop);
-  for (int i = 1; i <= 5; ++i) {
-    rec.add(i * 100, i * 100 + 10, "lane", "s" + std::to_string(i),
-            sim::SpanKind::kMarker);
-  }
-  EXPECT_EQ(rec.dropped(), 3u);
-  auto ordered = rec.ordered_spans();
-  ASSERT_EQ(ordered.size(), 2u);
-  EXPECT_EQ(ordered[0].label, "s1");
-  EXPECT_EQ(ordered[1].label, "s2");
-}
-
-TEST(TraceRecorderCapacity, ZeroCapacityRestoresUnboundedGrowth) {
-  sim::TraceRecorder rec;
-  rec.enable();
-  rec.set_capacity(1, sim::TraceCapacityMode::kRing);
-  rec.set_capacity(0);
-  EXPECT_EQ(rec.capacity_mode(), sim::TraceCapacityMode::kUnbounded);
-  for (int i = 0; i < 10; ++i) {
-    rec.add(i, i + 1, "lane", "s", sim::SpanKind::kMarker);
-  }
-  EXPECT_EQ(rec.spans().size(), 10u);
-  EXPECT_EQ(rec.dropped(), 0u);
+  ASSERT_EQ(recorder.spans().size(), 1000u);
+  ASSERT_GT(recorder.spans().capacity(), 0u);
+  recorder.clear();
+  EXPECT_TRUE(recorder.spans().empty());
+  // The swap idiom must release the backing allocation, not just size().
+  EXPECT_EQ(recorder.spans().capacity(), 0u);
 }
 
 // --------------------------------------------- Prometheus label escaping
@@ -107,6 +74,12 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
   rec.enable();
   rec.add(1000, 3000, "slot L1", "A PR", sim::SpanKind::kReconfig);
   rec.add(2000, 6000, "core", "pass", sim::SpanKind::kCoreOp);
+  // Labels are JSON-escaped; ts/dur print as shortest plain decimals even
+  // at tens of seconds, where a 6-significant-digit format would round to
+  // 100 us and switch to exponent notation.
+  rec.add(2500, 2750, "core", "q\"b\\n\nt\t", sim::SpanKind::kCoreOp);
+  rec.add(33'527'312'345, 33'530'000'000, "slot L1", "late",
+          sim::SpanKind::kExec);
   hub.attach_spans("b0", &rec);
 
   TraceChannel& b0 = hub.channel("b0");
@@ -123,8 +96,6 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
       "[\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
       "\"args\":{\"name\":\"b0\"}},\n"
-      "{\"name\":\"vs_dropped_spans\",\"ph\":\"M\",\"pid\":1,"
-      "\"args\":{\"dropped\":0}},\n"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
       "\"args\":{\"name\":\"slot L1\"}},\n"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
@@ -139,6 +110,10 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
       "\"tid\":1,\"ts\":1,\"dur\":2},\n"
       "{\"name\":\"pass\",\"cat\":\"core\",\"ph\":\"X\",\"pid\":1,"
       "\"tid\":2,\"ts\":2,\"dur\":4},\n"
+      "{\"name\":\"q\\\"b\\\\n\\nt\\t\",\"cat\":\"core\",\"ph\":\"X\","
+      "\"pid\":1,\"tid\":2,\"ts\":2.5,\"dur\":0.25},\n"
+      "{\"name\":\"late\",\"cat\":\"exec\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":1,\"ts\":33527312.345,\"dur\":2687.655},\n"
       "{\"name\":\"go\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":4294967297,"
       "\"pid\":1,\"tid\":3,\"ts\":2},\n"
       "{\"name\":\"hop\",\"cat\":\"flow\",\"ph\":\"t\",\"id\":4294967297,"
@@ -162,7 +137,6 @@ TEST(TraceHub, SealedSpansSurviveRecorderDestruction) {
   {
     sim::TraceRecorder rec;
     rec.enable();
-    rec.set_capacity(1, sim::TraceCapacityMode::kRing);
     rec.add(100, 200, "lane", "old", sim::SpanKind::kMarker);
     rec.add(300, 400, "lane", "new", sim::SpanKind::kMarker);
     hub.attach_spans("b0", &rec);
@@ -170,9 +144,10 @@ TEST(TraceHub, SealedSpansSurviveRecorderDestruction) {
   }  // recorder destroyed; the hub must not dereference it
   std::ostringstream out;
   hub.write_chrome_trace(out);
-  EXPECT_NE(out.str().find("\"new\""), std::string::npos);
-  EXPECT_EQ(out.str().find("\"old\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"dropped\":1"), std::string::npos);
+  const std::string json = out.str();
+  const auto old_at = json.find("\"old\"");
+  ASSERT_NE(old_at, std::string::npos);
+  EXPECT_GT(json.find("\"new\""), old_at);
 }
 
 TEST(TraceHub, FlowIdsAreNamespacedPerChannel) {
