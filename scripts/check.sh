@@ -11,7 +11,7 @@
 # checked against all four benchmark workloads too. Sanitizer passes follow: ThreadSanitizer over the suites
 # that start threads (the parallel sweep runner and its users),
 # AddressSanitizer and UndefinedBehaviorSanitizer over the event-kernel,
-# telemetry, fault, checkpoint and serving tests (the slab queue and
+# telemetry, fault, checkpoint, serving and cluster-switch tests (the slab queue and
 # InlineEvent do placement-new lifetime management by hand; the registry
 # hands out long-lived cell pointers). Last, the coverage gate. Run from the
 # repository root:
@@ -84,6 +84,12 @@ grep -q 'vs_app_phase_ms' build/trace_smoke.prom
 grep -q '"phases": \[' build/trace_smoke.report.json
 grep -q '"event":"crash"' build/trace_smoke.jsonl
 grep -q '"event":"readmit"' build/trace_smoke.jsonl
+# Its flow points land on round millisecond values (300000 us): every ts
+# and dur must still be a plain decimal, never exponent notation.
+if grep -qE '"(ts|dur)":-?[0-9.]*[eE]' build/trace_smoke.json; then
+  echo "ext_fault_resilience --trace-out wrote an exponent-notation ts or dur" >&2
+  exit 1
+fi
 # The sweep's worker count must never reach an export: the same replay on
 # one worker must write the same trace, journal and Prometheus file.
 (cd build && VS_JOBS=1 ./bench/ext_fault_resilience --apps 12 --seqs 1 \
@@ -154,9 +160,9 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     --gtest_filter='ThreadPool.*:SweepDeterminism.*:SweepEdgeCases.*:FaultDeterminism.SerialAndParallelSweepAgreeUnderFaults:CheckpointDeterminism.*:RackGolden.*'
 fi
 
-# Event-kernel, telemetry, fault, checkpoint and serving suites: the
-# memory-safety and undefined-behaviour passes share one filter.
-SANITIZE_FILTER='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*'
+# Event-kernel, telemetry, fault, checkpoint, serving and cluster-switch
+# suites: the memory-safety and undefined-behaviour passes share one filter.
+SANITIZE_FILTER='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:Cluster.*:ClusterGolden.*:*SwitchLanding.*'
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== AddressSanitizer: event kernel + telemetry =="

@@ -18,6 +18,12 @@ const char* config_name(core::SwitchLoop::Config config) {
                                                         : "Only.Little";
 }
 
+core::SwitchLoop::Config other_config(core::SwitchLoop::Config config) {
+  return config == core::SwitchLoop::Config::kBigLittle
+             ? core::SwitchLoop::Config::kOnlyLittle
+             : core::SwitchLoop::Config::kBigLittle;
+}
+
 }  // namespace
 
 Cluster::Cluster(sim::Simulator& sim, const std::vector<apps::AppSpec>& suite,
@@ -226,12 +232,6 @@ runtime::BoardRuntime* Cluster::least_loaded_or_null() {
   return best;
 }
 
-runtime::BoardRuntime& Cluster::least_loaded_active() {
-  runtime::BoardRuntime* best = least_loaded_or_null();
-  assert(best != nullptr);
-  return *best;
-}
-
 void Cluster::submit_sequence(const workload::Sequence& sequence) {
   for (const apps::AppArrival& a : sequence) {
     sim_.schedule_at(a.arrival, [this, a] { dispatch_arrival(a); });
@@ -256,14 +256,7 @@ void Cluster::dispatch_arrival(const apps::AppArrival& a,
     }
     ++recovery_stats_.arrivals_deferred;
     m_throttle_deferred_.add();
-    MigratedApp m;
-    m.spec_index = a.spec_index;
-    m.batch = a.batch;
-    m.arrival = a.arrival;
-    m.item_interval = a.item_interval;
-    m.state_bytes = 0;
-    m.tenant = a.tenant;
-    readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
+    readmit_queue_.push_back(ReadmitEntry{MigratedApp::held(a), nullptr});
     return;
   }
   runtime::BoardRuntime* rt =
@@ -278,14 +271,7 @@ void Cluster::dispatch_arrival(const apps::AppArrival& a,
       m_throttle_shed_.add();
       return;
     }
-    MigratedApp m;
-    m.spec_index = a.spec_index;
-    m.batch = a.batch;
-    m.arrival = a.arrival;
-    m.item_interval = a.item_interval;
-    m.state_bytes = 0;
-    m.tenant = a.tenant;
-    readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
+    readmit_queue_.push_back(ReadmitEntry{MigratedApp::held(a), nullptr});
     return;
   }
   rt->submit(suite_.at(static_cast<std::size_t>(a.spec_index)), a.spec_index,
@@ -333,18 +319,7 @@ int Cluster::rebalance_active(int min_spread) {
   for (const MigratedApp& m : moved) bytes += m.state_bytes;
   m_migrated_apps_.add(moved_count);
   link_.transfer(bytes, [this, moved = std::move(moved)]() mutable {
-    for (MigratedApp& m : moved) {
-      // The destination is re-picked per app at landing time; a crash
-      // while the transfer was in flight queues the app for re-admission.
-      runtime::BoardRuntime* rt = least_loaded_or_null();
-      if (rt == nullptr) {
-        readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
-        continue;
-      }
-      const apps::AppSpec& spec =
-          suite_.at(static_cast<std::size_t>(m.spec_index));
-      rt->submit_migrated(spec, m, runtime::AppPhase::kMigration);
-    }
+    land(std::move(moved), 0);
     on_queue_update();
   });
   return moved_count;
@@ -464,39 +439,20 @@ void Cluster::prewarm(core::SwitchLoop::Config config) {
 void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   if (precopy_active_) {
     // The previous migration is still streaming; its origins cannot start
-    // a second extraction. Revert the loop state so a later sample can
-    // retrigger (same treatment as a draining spare pool).
-    loop_ = core::SwitchLoop(options_.t1, options_.t2,
-                             target == core::SwitchLoop::Config::kBigLittle
-                                 ? core::SwitchLoop::Config::kOnlyLittle
-                                 : core::SwitchLoop::Config::kBigLittle);
-    VS_WARN << "switch to " << config_name(target)
-            << " deferred: pre-copy migration in flight";
+    // a second extraction.
+    defer_switch(target, "pre-copy migration in flight");
     return;
   }
   if (fault_plane_ != nullptr) {
     for (fpga::Board* board : boards_for(target)) {
       if (board_usable(board)) continue;
-      // A target board is down: revert the loop state (same as the
-      // pool-draining deferral) so a later sample can retrigger.
-      loop_ = core::SwitchLoop(options_.t1, options_.t2,
-                               target == core::SwitchLoop::Config::kBigLittle
-                                   ? core::SwitchLoop::Config::kOnlyLittle
-                                   : core::SwitchLoop::Config::kBigLittle);
-      VS_WARN << "switch to " << config_name(target)
-              << " deferred: target board down";
+      defer_switch(target, "target board down");
       return;
     }
   }
   if (!pool_free(target)) {
     // The spare pool is still draining a previous epoch: cannot switch yet.
-    // Revert the loop state so a later sample can retrigger.
-    loop_ = core::SwitchLoop(options_.t1, options_.t2,
-                             target == core::SwitchLoop::Config::kBigLittle
-                                 ? core::SwitchLoop::Config::kOnlyLittle
-                                 : core::SwitchLoop::Config::kBigLittle);
-    VS_WARN << "switch to " << config_name(target)
-            << " deferred: spare pool still draining";
+    defer_switch(target, "spare pool still draining");
     return;
   }
 
@@ -505,108 +461,58 @@ void Cluster::do_switch(core::SwitchLoop::Config target, double d) {
   // idle (buffer-zone pre-warming made this explicit; a pool that jumped
   // straight past T1 stages now, off the critical path).
   prewarm(target);
+  begin_switch(target, d);
+}
 
-  if (options_.migration.active()) {
-    begin_precopy(target, d);
-    return;
-  }
+void Cluster::defer_switch(core::SwitchLoop::Config target,
+                           const char* reason) {
+  loop_ = core::SwitchLoop(options_.t1, options_.t2, other_config(target));
+  VS_WARN << "switch to " << config_name(target) << " deferred: " << reason;
+}
 
-  // Drain every active origin board; collect its migratable applications.
-  std::string origin_name =
-      epochs_[static_cast<std::size_t>(active_epochs_.front())]
-          ->board->name();
-  std::vector<runtime::BoardRuntime::MigratedApp> migrated;
-  for (int index : active_epochs_) {
-    runtime::BoardRuntime& rt =
-        *epochs_[static_cast<std::size_t>(index)]->runtime;
-    rt.stop_admission();
-    auto part = rt.extract_migratable();
-    migrated.insert(migrated.end(), part.begin(), part.end());
-  }
-  std::uint64_t flow = 0;
+// --- The switch sequence ------------------------------------------------
+
+void Cluster::begin_switch(core::SwitchLoop::Config target, double d) {
+  const bool precopy = options_.migration.active();
+  auto st = std::make_shared<SwitchState>();
+  st->origins = active_epochs_;
+  st->t0 = sim_.now();
+  const std::string& origin_name =
+      epochs_[static_cast<std::size_t>(st->origins.front())]->board->name();
   if (obs_ != nullptr && obs_->trace_on()) {
-    flow = obs_->new_flow_id();
-    obs_->flow(flow, obs::FlowPhase::kStart, sim_.now(), origin_name,
-               "migration", std::string("switch -> ") + config_name(target));
+    st->flow = obs_->new_flow_id();
+    obs_->flow(st->flow, obs::FlowPhase::kStart, sim_.now(), origin_name,
+               "migration",
+               std::string(precopy ? "pre-copy -> " : "switch -> ") +
+                   config_name(target));
   }
-
+  if (precopy && obs_ != nullptr && obs_->journal_on()) {
+    obs_->journal(sim_.now(), obs::JournalEvent::kMigrate, origin_name, -1,
+                  {}, st->flow,
+                  std::string("pre-copy -> ") + config_name(target));
+  }
+  // The origins stop admitting; new arrivals flow to the target pool
+  // immediately. Under pre-copy the origins *keep executing* while rounds
+  // stream — that is the point of pre-copy.
+  for (int index : st->origins) {
+    epochs_[static_cast<std::size_t>(index)]->runtime->stop_admission();
+  }
   activate_pool(target);
 
   SwitchEvent event;
   event.time = sim_.now();
   event.to = target;
   event.dswitch = d;
-  event.apps_migrated = static_cast<int>(migrated.size());
-  event.bytes = 4096;  // switch-control message
-  for (const auto& m : migrated) event.bytes += m.state_bytes;
-  // Whole-state: the origins are already paused, so the entire transfer is
-  // stop-and-copy downtime.
-  event.stopcopy_bytes = event.bytes;
-  std::size_t event_index = switch_events_.size();
+  st->event_index = switch_events_.size();
   switch_events_.push_back(event);
   m_switches_.add();
-  m_migrated_apps_.add(event.apps_migrated);
-  if (obs_ != nullptr && obs_->journal_on()) {
-    obs_->journal(sim_.now(), obs::JournalEvent::kMigrate, origin_name, -1,
-                  {}, flow,
-                  std::string("whole-state -> ") + config_name(target) + ", " +
-                      std::to_string(migrated.size()) + " apps, " +
-                      std::to_string(event.bytes) + " B");
-  }
-
   VS_INFO << "cross-board switch -> " << config_name(target) << " (D=" << d
-          << ", migrating " << migrated.size() << " apps, " << event.bytes
-          << " bytes)";
-
-  sim::SimTime t0 = sim_.now();
-  link_.transfer(event.bytes, [this, migrated = std::move(migrated), t0,
-                               event_index, flow] {
-    switch_events_[event_index].overhead = sim_.now() - t0;
-    switch_events_[event_index].downtime = sim_.now() - t0;
-    bool flow_open = flow != 0;
-    for (const auto& m : migrated) {
-      const apps::AppSpec& spec =
-          suite_.at(static_cast<std::size_t>(m.spec_index));
-      runtime::BoardRuntime& rt = least_loaded_active();
-      if (flow_open) {
-        // Close the causal arrow at the first resume on the destination.
-        obs_->flow(flow, obs::FlowPhase::kEnd, sim_.now(), rt.board().name(),
-                   "migration", "resume");
-        flow_open = false;
-      }
-      rt.submit_migrated(spec, m, runtime::AppPhase::kMigration);
-    }
-  });
-}
-
-// --- Pre-copy migration -------------------------------------------------
-
-void Cluster::begin_precopy(core::SwitchLoop::Config target, double d) {
-  auto st = std::make_shared<PrecopyState>();
-  st->target = target;
-  st->origins = active_epochs_;
-  st->t0 = sim_.now();
-  if (obs_ != nullptr && obs_->trace_on()) {
-    st->flow = obs_->new_flow_id();
-    obs_->flow(st->flow, obs::FlowPhase::kStart, sim_.now(),
-               epochs_[static_cast<std::size_t>(st->origins.front())]
-                   ->board->name(),
-               "migration",
-               std::string("pre-copy -> ") + config_name(target));
+          << (precopy ? ", pre-copy" : ", whole-state") << ")";
+  if (!precopy) {
+    stop_and_copy(std::move(st), 0);
+    return;
   }
-  if (obs_ != nullptr && obs_->journal_on()) {
-    obs_->journal(sim_.now(), obs::JournalEvent::kMigrate,
-                  epochs_[static_cast<std::size_t>(st->origins.front())]
-                      ->board->name(),
-                  -1, {}, st->flow,
-                  std::string("pre-copy -> ") + config_name(target));
-  }
-  // The origins stop admitting but *keep executing* — that is the point of
-  // pre-copy. New arrivals flow to the target pool immediately.
-  for (int index : st->origins) {
-    epochs_[static_cast<std::size_t>(index)]->runtime->stop_admission();
-  }
-  activate_pool(target);
+  precopy_active_ = true;
   // First round: every app that is pause-visible right now ships its full
   // migratable footprint; running apps join the stream when they pause
   // (their dirt keeps accumulating in the migration plane until then).
@@ -618,21 +524,10 @@ void Cluster::begin_precopy(core::SwitchLoop::Config target, double d) {
     first += rt.take_migration_stream_bytes();
   }
   st->first_round_bytes = first;
-
-  SwitchEvent event;
-  event.time = sim_.now();
-  event.to = target;
-  event.dswitch = d;
-  st->event_index = switch_events_.size();
-  switch_events_.push_back(event);
-  m_switches_.add();
-  precopy_active_ = true;
-  VS_INFO << "pre-copy switch -> " << config_name(target) << " (D=" << d
-          << ", first round " << first << " bytes)";
   precopy_round(std::move(st), first);
 }
 
-void Cluster::precopy_round(std::shared_ptr<PrecopyState> st,
+void Cluster::precopy_round(std::shared_ptr<SwitchState> st,
                             std::int64_t bytes) {
   ++st->rounds;
   st->streamed += bytes;
@@ -662,18 +557,19 @@ void Cluster::precopy_round(std::shared_ptr<PrecopyState> st,
         static_cast<std::int64_t>(mp.convergence *
                                   static_cast<double>(st->first_round_bytes)));
     if (dirty <= floor || st->rounds >= mp.max_rounds) {
-      finish_precopy(std::move(st), dirty);
+      stop_and_copy(std::move(st), dirty);
     } else {
       precopy_round(std::move(st), dirty);
     }
   });
 }
 
-void Cluster::finish_precopy(std::shared_ptr<PrecopyState> st,
-                             std::int64_t final_dirty) {
-  // Stop-and-copy: *now* the origins pause and release their migratable
-  // apps; only the final dirty residue still has to cross the link — the
-  // streamed base and deltas already reconstruct everything else.
+void Cluster::stop_and_copy(std::shared_ptr<SwitchState> st,
+                            std::int64_t final_dirty) {
+  // *Now* the origins pause and release their migratable apps. After
+  // pre-copy rounds only the final dirty residue still has to cross the
+  // link — the streamed base and deltas already reconstruct everything
+  // else; with no rounds streamed the residue is the whole state.
   std::vector<MigratedApp> migrated;
   for (int index : st->origins) {
     runtime::BoardRuntime& rt =
@@ -683,6 +579,9 @@ void Cluster::finish_precopy(std::shared_ptr<PrecopyState> st,
     migrated.insert(migrated.end(), std::make_move_iterator(part.begin()),
                     std::make_move_iterator(part.end()));
   }
+  if (st->rounds == 0) {
+    for (const MigratedApp& m : migrated) final_dirty += m.state_bytes;
+  }
   SwitchEvent& event = switch_events_[st->event_index];
   event.apps_migrated = static_cast<int>(migrated.size());
   event.precopy_rounds = st->rounds;
@@ -690,13 +589,22 @@ void Cluster::finish_precopy(std::shared_ptr<PrecopyState> st,
   event.stopcopy_bytes = 4096 + final_dirty;  // control message + residue
   event.bytes = st->streamed + event.stopcopy_bytes;
   m_migrated_apps_.add(event.apps_migrated);
-  if (st->flow != 0) {
+  if (st->rounds > 0 && st->flow != 0) {
     obs_->flow(st->flow, obs::FlowPhase::kStep, sim_.now(), "cluster",
                "precopy",
                "stop-and-copy (" + std::to_string(event.stopcopy_bytes) +
                    " B)");
   }
-  VS_INFO << "pre-copy stop-and-copy after " << st->rounds << " rounds ("
+  if (st->rounds == 0 && obs_ != nullptr && obs_->journal_on()) {
+    obs_->journal(
+        sim_.now(), obs::JournalEvent::kMigrate,
+        epochs_[static_cast<std::size_t>(st->origins.front())]->board->name(),
+        -1, {}, st->flow,
+        std::string("whole-state -> ") + config_name(event.to) + ", " +
+            std::to_string(migrated.size()) + " apps, " +
+            std::to_string(event.bytes) + " B");
+  }
+  VS_INFO << "stop-and-copy after " << st->rounds << " rounds ("
           << event.precopy_bytes << " streamed, " << event.stopcopy_bytes
           << " stop-copy bytes, " << event.apps_migrated << " apps)";
 
@@ -709,26 +617,30 @@ void Cluster::finish_precopy(std::shared_ptr<PrecopyState> st,
         done.overhead = sim_.now() - st->t0;
         m_migration_downtime_ms_.observe(sim::to_ms(done.downtime));
         precopy_active_ = false;
-        bool flow_open = st->flow != 0;
-        for (MigratedApp& m : migrated) {
-          // Target boards can crash while the residue is in flight (fault
-          // plane): queue for re-admission rather than assert, exactly as
-          // displaced-app placement does.
-          runtime::BoardRuntime* rt = least_loaded_or_null();
-          if (rt == nullptr) {
-            readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
-            continue;
-          }
-          const apps::AppSpec& spec =
-              suite_.at(static_cast<std::size_t>(m.spec_index));
-          if (flow_open) {
-            obs_->flow(st->flow, obs::FlowPhase::kEnd, sim_.now(),
-                       rt->board().name(), "migration", "resume");
-            flow_open = false;
-          }
-          rt->submit_migrated(spec, m, runtime::AppPhase::kMigration);
-        }
+        land(std::move(migrated), st->flow);
       });
+}
+
+void Cluster::land(std::vector<MigratedApp> apps, std::uint64_t flow) {
+  for (MigratedApp& m : apps) {
+    // The destination is re-picked per app at landing time. Target boards
+    // can crash while the transfer is in flight (fault plane): queue for
+    // re-admission rather than assert, as displaced-app placement does.
+    runtime::BoardRuntime* rt = least_loaded_or_null();
+    if (rt == nullptr) {
+      readmit_queue_.push_back(ReadmitEntry{std::move(m), nullptr});
+      continue;
+    }
+    if (flow != 0) {
+      // Close the causal arrow at the first resume on the destination.
+      obs_->flow(flow, obs::FlowPhase::kEnd, sim_.now(), rt->board().name(),
+                 "migration", "resume");
+      flow = 0;
+    }
+    const apps::AppSpec& spec =
+        suite_.at(static_cast<std::size_t>(m.spec_index));
+    rt->submit_migrated(spec, m, runtime::AppPhase::kMigration);
+  }
 }
 
 // --- Fault plane and recovery ------------------------------------------
@@ -953,10 +865,7 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
     // The whole active pool is down. Failure-triggered switch: bring up
     // the spare pool if it is free and healthy; otherwise the displaced
     // apps queue for re-admission at the next reboot.
-    core::SwitchLoop::Config spare =
-        loop_.config() == core::SwitchLoop::Config::kBigLittle
-            ? core::SwitchLoop::Config::kOnlyLittle
-            : core::SwitchLoop::Config::kBigLittle;
+    core::SwitchLoop::Config spare = other_config(loop_.config());
     bool healthy = pool_free(spare);
     for (fpga::Board* b : boards_for(spare)) {
       healthy = healthy && board_usable(b);

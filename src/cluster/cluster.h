@@ -6,13 +6,19 @@
 // current configuration is *active*: arrivals are dispatched to its least-
 // loaded board. The D_switch metric is recomputed over the active pool
 // every `dswitch_period` candidate-queue updates and fed into the
-// Schmitt-trigger switch loop. On a switch: every origin board stops
-// admitting, applications that have not started — plus started apps paused
-// between tasks, which carry their per-task progress and intermediate
-// buffers — are extracted and transferred over the Aurora link to the
-// spare pool (live migration), new arrivals flow to the new active pool,
-// and origin boards drain their ongoing applications to completion before
-// being freed (so one available FPGA suffices to switch the whole system).
+// Schmitt-trigger switch loop. Every switch runs one sequence: begin →
+// zero or more streamed pre-copy rounds → stop-and-copy → land. At begin
+// every origin board stops admitting and new arrivals flow to the new
+// active pool. At the stop-and-copy, applications that have not started —
+// plus started apps paused between tasks, which carry their per-task
+// progress and intermediate buffers — are extracted and transferred over
+// the Aurora link to the spare pool (live migration). Whole-state
+// switching is the zero-round case: nothing streams, so the stop-and-copy
+// ships the whole migratable state. The landing places each app on the
+// least-loaded active board, or queues it for re-admission when no board
+// is up. Origin boards drain their ongoing applications to completion
+// before being freed (so one available FPGA suffices to switch the whole
+// system).
 #pragma once
 
 #include <cstdint>
@@ -139,11 +145,11 @@ struct ClusterOptions {
   /// of restarting from scratch.
   runtime::CheckpointPolicy checkpoint;
   /// Iterative pre-copy live migration for D_switch switches (see
-  /// cluster/migration.h). Inactive (the default) keeps the whole-state
-  /// stop-and-copy path byte-identical. Active, every board epoch tracks
-  /// DDR dirty regions at `checkpoint.granularity` (the dirty map is
-  /// shared with delta checkpointing) and switches stream state while the
-  /// origins keep executing.
+  /// cluster/migration.h). Inactive (the default), a switch streams no
+  /// rounds and its stop-and-copy ships the whole state. Active, every
+  /// board epoch tracks DDR dirty regions at `checkpoint.granularity` (the
+  /// dirty map is shared with delta checkpointing) and switches stream
+  /// state while the origins keep executing.
   MigrationPolicy migration;
   /// Cluster-wide causal observability (obs/trace_hub.h). Null (the
   /// default) keeps tracing/journalling off and every output byte-identical.
@@ -161,12 +167,17 @@ struct ClusterOptions {
 struct SwitchEvent {
   sim::SimTime time = 0;
   core::SwitchLoop::Config to = core::SwitchLoop::Config::kBigLittle;
-  double dswitch = 0.0;
+  double dswitch = 0.0;  ///< D_switch at the decision; -1 marks a failover
+  /// D_switch events: apps the stop-and-copy shipped (the sum of these plus
+  /// rebalance moves is vs_cluster_migrated_apps_total). Failover events
+  /// (dswitch == -1): apps the crash displaced, which the vs_recovery_*
+  /// counters count instead.
   int apps_migrated = 0;
   std::int64_t bytes = 0;  ///< total transferred (streamed + stop-and-copy)
   sim::SimDuration overhead = 0;  ///< decision-to-placement span (on done)
-  // Pre-copy breakdown (whole-state switches leave rounds/precopy at 0 and
-  // report their full transfer as the stop-and-copy downtime).
+  // Pre-copy breakdown (whole-state switches stream zero rounds, leave
+  // rounds/precopy at 0 and report their full transfer as the stop-and-copy
+  // downtime).
   int precopy_rounds = 0;          ///< rounds streamed while origins ran
   std::int64_t precopy_bytes = 0;  ///< bytes streamed before the stop
   std::int64_t stopcopy_bytes = 0; ///< final stop-and-copy transfer bytes
@@ -279,12 +290,14 @@ class Cluster {
   void sample_and_act();
   void prewarm(core::SwitchLoop::Config config);
   void do_switch(core::SwitchLoop::Config target, double d);
-  // --- Pre-copy migration (MigrationPolicy) ---------------------------
-  /// One in-flight pre-copy migration: origin epochs keep executing while
-  /// rounds stream; shared across the round-completion closures.
-  struct PrecopyState {
-    core::SwitchLoop::Config target = core::SwitchLoop::Config::kBigLittle;
-    std::vector<int> origins;          ///< epoch indices streaming out
+  /// Reverts the loop state so a later sample can retrigger the switch.
+  void defer_switch(core::SwitchLoop::Config target, const char* reason);
+  // --- The switch sequence: begin → rounds → stop-and-copy → land ------
+  /// One in-flight switch, shared across the transfer closures. Pre-copy
+  /// (MigrationPolicy) streams rounds while the origins keep executing;
+  /// whole-state streams none.
+  struct SwitchState {
+    std::vector<int> origins;          ///< epoch indices migrating out
     std::size_t event_index = 0;       ///< into switch_events_
     sim::SimTime t0 = 0;               ///< switch decision time
     int rounds = 0;                    ///< streamed rounds so far
@@ -292,11 +305,17 @@ class Cluster {
     std::int64_t streamed = 0;         ///< bytes streamed so far
     std::uint64_t flow = 0;            ///< causal flow id (0 = tracing off)
   };
-  void begin_precopy(core::SwitchLoop::Config target, double d);
-  void precopy_round(std::shared_ptr<PrecopyState> st, std::int64_t bytes);
-  void finish_precopy(std::shared_ptr<PrecopyState> st,
-                      std::int64_t final_dirty);
-  [[nodiscard]] runtime::BoardRuntime& least_loaded_active();
+  void begin_switch(core::SwitchLoop::Config target, double d);
+  void precopy_round(std::shared_ptr<SwitchState> st, std::int64_t bytes);
+  /// Pauses the origins and ships their migratable apps plus the dirty
+  /// residue; with zero rounds streamed the residue is the whole state.
+  void stop_and_copy(std::shared_ptr<SwitchState> st,
+                     std::int64_t final_dirty);
+  using MigratedApp = runtime::BoardRuntime::MigratedApp;
+  /// Lands transferred apps: each goes to the least-loaded active board,
+  /// or queues for re-admission when no board is up. A non-zero `flow`
+  /// closes at the first placement.
+  void land(std::vector<MigratedApp> apps, std::uint64_t flow);
   [[nodiscard]] runtime::BoardRuntime* least_loaded_or_null();
   [[nodiscard]] std::vector<fpga::Board*> boards_for(
       core::SwitchLoop::Config config);
@@ -313,7 +332,6 @@ class Cluster {
     std::uint64_t flow = 0;   ///< crash→evac→readmit flow (0 = tracing off)
     bool flow_done = false;   ///< flow terminus already emitted
   };
-  using MigratedApp = runtime::BoardRuntime::MigratedApp;
   struct ReadmitEntry {
     MigratedApp app;
     std::shared_ptr<CrashTicket> ticket;  ///< null for deferred arrivals
@@ -374,7 +392,9 @@ class Cluster {
   // Telemetry: switch-loop instruments (no-ops when options.metrics null).
   obs::CounterHandle m_dswitch_evals_;   ///< vs_dswitch_evaluations_total
   obs::CounterHandle m_switches_;        ///< vs_dswitch_switches_total
-  obs::CounterHandle m_migrated_apps_;   ///< vs_cluster_migrated_apps_total
+  /// vs_cluster_migrated_apps_total: D_switch stop-and-copy apps plus
+  /// rebalance moves (failover displacements count under vs_recovery_*).
+  obs::CounterHandle m_migrated_apps_;
   obs::GaugeHandle m_dswitch_value_;     ///< vs_dswitch_value
   obs::GaugeHandle m_active_apps_;       ///< vs_cluster_active_apps
   // Recovery instruments.

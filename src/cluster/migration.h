@@ -11,8 +11,11 @@
 // do the origins pause, and the stop-and-copy transfer carries just the
 // final delta — downtime shrinks from full-state to last-delta.
 //
-// Off by default: with `precopy` false the cluster keeps the PR 4
-// whole-state switch path bit-for-bit.
+// Both are one switch path in Cluster: begin → zero or more streamed
+// rounds → stop-and-copy → land. This policy decides only whether rounds
+// stream. Off by default: with `precopy` false a switch streams zero
+// rounds and its stop-and-copy ships the whole migratable state (the
+// whole-state switch).
 #pragma once
 
 #include <cstdint>

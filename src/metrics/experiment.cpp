@@ -250,17 +250,11 @@ RunResult run_single_board(SystemKind kind,
         // Board down: hold the arrival for re-admission at reboot. Its
         // original arrival time is kept, so the downtime shows up in the
         // app's response time.
-        runtime::BoardRuntime::MigratedApp m;
-        m.spec_index = a.spec_index;
-        m.batch = a.batch;
-        m.arrival = a.arrival;
-        m.item_interval = a.item_interval;
-        m.state_bytes = 0;
-        held.push_back(std::move(m));
+        held.push_back(runtime::BoardRuntime::MigratedApp::held(a));
         return;
       }
       rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
-                a.spec_index, a.batch, a.arrival, a.item_interval);
+                a.spec_index, a.batch, a.arrival, a.item_interval, a.tenant);
     });
   }
   sim.run(options.time_limit);

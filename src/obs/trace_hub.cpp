@@ -26,11 +26,12 @@ const char* span_category(sim::SpanKind kind) {
   return "other";
 }
 
-// Shortest round-trip decimal for microsecond timestamps; matches the
-// fmt_double convention in export.cpp rather than ostream's 6-digit default.
+// Shortest round-trip plain decimal for microsecond timestamps: fixed
+// notation, so round values print as 300000, never as 3e+05.
 std::string fmt_num(double v) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  char buf[64];
+  auto [ptr, ec] =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
   if (ec != std::errc{}) return "0";
   return std::string(buf, ptr);
 }

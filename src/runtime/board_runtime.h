@@ -401,6 +401,19 @@ class BoardRuntime {
     /// Checkpoint chain flow id, so a restore can close the base→delta
     /// causal arrow on the destination board (0 = no chain).
     std::uint64_t ckpt_flow = 0;
+
+    /// Descriptor of an arrival that never reached a board: held while
+    /// every board is down, or deferred behind the re-admission backlog.
+    [[nodiscard]] static MigratedApp held(const apps::AppArrival& a) {
+      MigratedApp m;
+      m.spec_index = a.spec_index;
+      m.batch = a.batch;
+      m.tenant = a.tenant;
+      m.arrival = a.arrival;
+      m.item_interval = a.item_interval;
+      m.state_bytes = 0;
+      return m;
+    }
   };
   [[nodiscard]] std::vector<MigratedApp> extract_unstarted();
 

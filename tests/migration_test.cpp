@@ -1,7 +1,8 @@
 // Tests for iterative pre-copy live migration (cluster/migration.h): round
 // convergence and the round cap, stop-and-copy downtime strictly below the
 // whole-state switch, recovery through crashes/flaps/SEUs with pre-copy
-// active, telemetry on/off bit-identity, and
+// active, a target-pool crash while a switch's stop-and-copy is in flight
+// (in both switch modes), telemetry on/off bit-identity, and
 // byte-identity of runs with the policy disabled.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "obs/telemetry.h"
 #include "runtime/board_runtime.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 #include "util/stats.h"
 #include "workload/generator.h"
 
@@ -365,6 +367,42 @@ TEST(PrecopyTelemetry, RoundAndDowntimeInstrumentsMatchSwitchEvents) {
   ASSERT_NE(downtime, nullptr);
   EXPECT_EQ(downtime->count(), r.switches.size());
 }
+
+// ----------------------------------------------------------- SwitchLanding
+
+// Input: whether the switch streams pre-copy rounds (true) or ships the
+// whole state at once (false, the zero-round case of the same path).
+class SwitchLanding : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SwitchLanding, TargetCrashDuringTransferRequeuesMigratedApps) {
+  // The only target board (BL0, fault-plane index 1) crashes 10 us after
+  // the first switch decision, while the switch's transfer is still on
+  // the Aurora link. The landing finds no active board and must queue the
+  // migrated apps for re-admission at the reboot, not assert.
+  fpga::BoardParams params;
+  auto suite = apps::make_suite(params);
+  auto seq = switching_sequence(11, 80);
+  auto clean = metrics::run_cluster(suite, seq, cluster::ClusterOptions{});
+  ASSERT_FALSE(clean.switches.empty());
+  const cluster::SwitchEvent& first = clean.switches.front();
+  ASSERT_EQ(first.to, core::SwitchLoop::Config::kBigLittle);
+  ASSERT_GT(first.apps_migrated, 0);
+
+  cluster::ClusterOptions options;
+  options.migration.precopy = GetParam();
+  options.faults.timeline.push_back({first.time + sim::us(10.0),
+                                     faults::FaultKind::kBoardCrash, 1, -1});
+  auto r = metrics::run_cluster(suite, seq, options);
+  EXPECT_EQ(r.completed, r.submitted);
+  test::expect_app_conservation(r);
+  EXPECT_EQ(r.recovery.boards_crashed, 1);
+  EXPECT_GT(r.recovery.readmissions, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, SwitchLanding, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "PreCopy" : "WholeState";
+                         });
 
 }  // namespace
 }  // namespace vs

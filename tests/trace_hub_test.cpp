@@ -89,6 +89,10 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
   b0.flow(id, FlowPhase::kStart, 2000, "b0", "migration", "go");
   cl.flow(id, FlowPhase::kStep, 4000, "cluster", "recovery", "hop");
   b0.flow(id, FlowPhase::kEnd, 5000, "b0", "slot L1", "land");
+  // A round flow point at 300 ms prints 300000, not exponent notation.
+  std::uint64_t late = cl.new_flow_id();
+  cl.flow(late, FlowPhase::kStart, 300'000'000, "cluster", "recovery",
+          "crash");
 
   std::ostringstream out;
   hub.write_chrome_trace(out);
@@ -119,7 +123,9 @@ TEST(TraceHub, GoldenChromeTraceWithFlowEvents) {
       "{\"name\":\"hop\",\"cat\":\"flow\",\"ph\":\"t\",\"id\":4294967297,"
       "\"pid\":2,\"tid\":1,\"ts\":4},\n"
       "{\"name\":\"land\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":4294967297,"
-      "\"pid\":1,\"tid\":1,\"ts\":5,\"bp\":\"e\"}\n"
+      "\"pid\":1,\"tid\":1,\"ts\":5,\"bp\":\"e\"},\n"
+      "{\"name\":\"crash\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":8589934593,"
+      "\"pid\":2,\"tid\":1,\"ts\":300000}\n"
       "]\n";
   EXPECT_EQ(out.str(), expected);
 }
