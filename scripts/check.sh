@@ -35,7 +35,17 @@ echo "== substrate micro-bench smoke (zero-alloc probe) =="
 cmake --build build -j "$JOBS" --target micro_substrate
 ./build/bench/micro_substrate \
   --benchmark_filter='BM_EventQueueScheduleAndPop|BM_SimulatorEventRate|BM_MetricsOverhead|BM_PhaseAccountingOverhead' \
-  --benchmark_min_time=0.01
+  --benchmark_min_time=0.01 --benchmark_format=json \
+  >build/micro_substrate_smoke.json
+# The kernel's zero-allocation contract: every steady-state probe reads 0.
+python3 - build/micro_substrate_smoke.json <<'PY'
+import json, sys
+runs = json.load(open(sys.argv[1]))["benchmarks"]
+bad = [r["name"] for r in runs if r.get("allocs_per_event", 1) != 0]
+if not runs or bad:
+    sys.exit("allocs_per_event is not 0 for: %s" % (bad or "no benchmark ran"))
+print("allocs_per_event == 0 for %d benchmarks" % len(runs))
+PY
 
 echo "== telemetry demo smoke (dashboard + exporters) =="
 ./build/examples/telemetry_demo --metrics-out build/telemetry_demo_smoke \
@@ -160,9 +170,10 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     --gtest_filter='ThreadPool.*:SweepDeterminism.*:SweepEdgeCases.*:FaultDeterminism.SerialAndParallelSweepAgreeUnderFaults:CheckpointDeterminism.*:RackGolden.*'
 fi
 
-# Event-kernel, telemetry, fault, checkpoint, serving and cluster-switch
+# Event-kernel (with the lazy arrival stream and the device FIFO), app-table
+# retirement, telemetry, fault, checkpoint, serving and cluster-switch
 # suites: the memory-safety and undefined-behaviour passes share one filter.
-SANITIZE_FILTER='InlineEvent.*:EventQueue*:Simulator.*:Core.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:Cluster.*:ClusterGolden.*:*SwitchLanding.*'
+SANITIZE_FILTER='InlineEvent.*:EventQueue*:EventStream.*:Fifo.*:Simulator.*:Core.*:AppRetirement.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:Cluster.*:ClusterGolden.*:*SwitchLanding.*'
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== AddressSanitizer: event kernel + telemetry =="

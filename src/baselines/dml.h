@@ -24,10 +24,15 @@ class DmlPolicy final : public runtime::SchedulerPolicy {
 
   void on_app_submitted(runtime::BoardRuntime&, int) override {}
 
+  void on_app_retired(runtime::BoardRuntime&, int app_id) override {
+    alloc_.forget(app_id);
+  }
+
   void on_pass(runtime::BoardRuntime& rt) override;
 
  private:
   LittleAllocCache alloc_;
+  std::vector<int> idle_;  ///< scratch: idle Little slots of this pass
 };
 
 }  // namespace vs::baselines

@@ -18,7 +18,7 @@ class FcfsPolicy final : public runtime::SchedulerPolicy {
   void on_pass(runtime::BoardRuntime& rt) override;
 
  private:
-  LittleAllocCache alloc_;
+  std::vector<int> idle_;  ///< scratch: idle Little slots of this pass
 };
 
 }  // namespace vs::baselines

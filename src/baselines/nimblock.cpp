@@ -10,6 +10,12 @@ void NimblockPolicy::on_app_submitted(runtime::BoardRuntime& rt, int app_id) {
   wait_since_[app_id] = rt.sim().now();
 }
 
+void NimblockPolicy::on_app_retired(runtime::BoardRuntime&, int app_id) {
+  wait_since_.erase(app_id);
+  last_preempted_.erase(app_id);
+  alloc_.forget(app_id);
+}
+
 sim::SimDuration NimblockPolicy::remaining_estimate(
     runtime::BoardRuntime& rt, const runtime::AppRun& app) {
   int k = alloc_.get(rt, const_cast<runtime::AppRun&>(app));
@@ -99,7 +105,8 @@ void NimblockPolicy::maybe_preempt(runtime::BoardRuntime& rt,
         rt.preempt_unit(victim, unit_index);
         last_preempted_[victim] = rt.sim().now();
         // The freed slot goes to the starving app immediately.
-        std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
+        std::vector<int> idle;
+        rt.idle_slots(fpga::SlotKind::kLittle, idle);
         int pending = next_pending_unit(rt.app(starving));
         if (!idle.empty() && pending >= 0) {
           rt.request_pr(starving, pending,

@@ -34,6 +34,7 @@ class NimblockPolicy : public runtime::SchedulerPolicy {
   [[nodiscard]] const char* name() const override { return "Nimblock"; }
 
   void on_app_submitted(runtime::BoardRuntime& rt, int app_id) override;
+  void on_app_retired(runtime::BoardRuntime& rt, int app_id) override;
   void on_pass(runtime::BoardRuntime& rt) override;
 
  protected:

@@ -42,14 +42,16 @@ void grant_little_slots(runtime::BoardRuntime& rt,
                         const std::vector<int>& app_order,
                         const std::unordered_map<int, int>& caps,
                         bool one_per_app) {
-  std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
+  std::vector<int> idle;
+  rt.idle_slots(fpga::SlotKind::kLittle, idle);
   bool placed_any = true;
   while (placed_any && !idle.empty()) {
     placed_any = false;
     for (int app_id : app_order) {
       if (idle.empty()) break;
-      runtime::AppRun& app = rt.app(app_id);
-      if (app.spec == nullptr || app.done()) continue;
+      runtime::AppRun* found = rt.find(app_id);
+      if (found == nullptr) continue;
+      runtime::AppRun& app = *found;
       auto cap_it = caps.find(app_id);
       int cap = cap_it != caps.end() ? cap_it->second : 1;
       if (app.units_placed() >= cap) continue;

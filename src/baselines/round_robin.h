@@ -18,8 +18,8 @@ class RoundRobinPolicy final : public runtime::SchedulerPolicy {
   void on_pass(runtime::BoardRuntime& rt) override;
 
  private:
-  LittleAllocCache alloc_;
   std::size_t cursor_ = 0;
+  std::vector<int> idle_;  ///< scratch: idle Little slots of this pass
 };
 
 }  // namespace vs::baselines

@@ -233,9 +233,11 @@ runtime::BoardRuntime* Cluster::least_loaded_or_null() {
 }
 
 void Cluster::submit_sequence(const workload::Sequence& sequence) {
-  for (const apps::AppArrival& a : sequence) {
-    sim_.schedule_at(a.arrival, [this, a] { dispatch_arrival(a); });
-  }
+  arrival_streams_.push_back(
+      std::make_unique<sim::EventStream<apps::AppArrival>>(
+          sim_, sequence,
+          [](const apps::AppArrival& a) { return a.arrival; },
+          [this](const apps::AppArrival& a) { dispatch_arrival(a); }));
 }
 
 void Cluster::dispatch_arrival(const apps::AppArrival& a,
@@ -277,15 +279,6 @@ void Cluster::dispatch_arrival(const apps::AppArrival& a,
   rt->submit(suite_.at(static_cast<std::size_t>(a.spec_index)), a.spec_index,
              a.batch, a.arrival, a.item_interval, a.tenant);
   on_queue_update();
-}
-
-std::vector<runtime::BoardRuntime*> Cluster::active_runtimes() {
-  std::vector<runtime::BoardRuntime*> out;
-  out.reserve(active_epochs_.size());
-  for (int index : active_epochs_) {
-    out.push_back(epochs_[static_cast<std::size_t>(index)]->runtime.get());
-  }
-  return out;
 }
 
 int Cluster::rebalance_active(int min_spread) {

@@ -25,6 +25,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <vector>
 
 #include "apps/task.h"
@@ -38,6 +39,7 @@
 #include "obs/metrics.h"
 #include "runtime/board_runtime.h"
 #include "runtime/checkpoint.h"
+#include "sim/event_stream.h"
 #include "workload/generator.h"
 
 namespace vs::obs {
@@ -192,8 +194,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Schedules all arrivals of a workload sequence into the simulator.
-  /// Each arrival is dispatched to the least-loaded active board.
+  /// Feeds the arrivals of a workload sequence into the simulator, one
+  /// pending arrival at a time (sim::EventStream). Each arrival is
+  /// dispatched to the least-loaded active board.
   void submit_sequence(const workload::Sequence& sequence);
 
   // --- Serving-plane entry points (serve::ResourceManager) -------------
@@ -206,8 +209,13 @@ class Cluster {
   void dispatch_arrival(const apps::AppArrival& a,
                         runtime::BoardRuntime* preferred = nullptr);
   /// The active pool's usable board runtimes, in fixed pool order (empty
-  /// only when every board is down under a fault plane).
-  [[nodiscard]] std::vector<runtime::BoardRuntime*> active_runtimes();
+  /// only when every board is down under a fault plane): a view over the
+  /// pool, valid until the next switch, crash or reboot changes it.
+  [[nodiscard]] auto active_runtimes() {
+    return active_epochs_ | std::views::transform([this](int index) {
+             return epochs_[static_cast<std::size_t>(index)]->runtime.get();
+           });
+  }
   /// Depth of the readmission queue (non-zero while displaced apps or
   /// held/deferred arrivals are waiting for a board).
   [[nodiscard]] int readmit_pending() const noexcept {
@@ -368,6 +376,9 @@ class Cluster {
   core::SwitchLoop loop_;
   std::vector<std::unique_ptr<Epoch>> epochs_;
   std::vector<int> active_epochs_;  ///< indices into epochs_
+  /// One per submit_sequence() call.
+  std::vector<std::unique_ptr<sim::EventStream<apps::AppArrival>>>
+      arrival_streams_;
   std::vector<runtime::CompletedApp> completed_;
   std::vector<SwitchEvent> switch_events_;
   std::function<void(const runtime::CompletedApp&)> on_app_complete_;

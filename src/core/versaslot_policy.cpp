@@ -1,6 +1,7 @@
 #include "core/versaslot_policy.h"
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 #include "runtime/board_runtime.h"
@@ -29,18 +30,34 @@ void VersaSlotPolicy::on_app_submitted(runtime::BoardRuntime& rt,
   s.optimal_little = apps::optimal_little_slots(
       *app.spec, app.batch, rt.board().params(), std::max(total_little, 1));
   s.optimal_big = apps::optimal_big_slots(*app.spec, options_.bundle_size);
-  auto i = static_cast<std::size_t>(app_id);
-  if (state_.size() <= i) state_.resize(i + 1);
-  state_[i] = s;
+  std::size_t row = rt.row(app);
+  if (state_.size() <= row) state_.resize(row + 1);
+  state_[row] = s;
+}
+
+VersaSlotPolicy::AppState& VersaSlotPolicy::state(
+    const runtime::BoardRuntime& rt, const runtime::AppRun& app) {
+  std::size_t row = rt.row(app);
+  assert(row < state_.size());
+  return state_[row];
+}
+
+VersaSlotPolicy::Binding VersaSlotPolicy::binding(
+    const runtime::BoardRuntime& rt, int app_id) const {
+  const runtime::AppRun* a = rt.find(app_id);
+  if (a == nullptr) return Binding::kWaiting;
+  std::size_t row = rt.row(*a);
+  return row < state_.size() ? state_[row].binding : Binding::kWaiting;
 }
 
 bool VersaSlotPolicy::can_bundle_cached(runtime::BoardRuntime& rt,
                                         int app_id) {
-  AppState& s = state(app_id);
+  const runtime::AppRun& app = rt.app(app_id);
+  AppState& s = state(rt, app);
   if (!s.bundle_checked) {
     s.bundle_checked = true;
     s.bundleable =
-        apps::can_bundle(*rt.app(app_id).spec, rt.board().params(),
+        apps::can_bundle(*app.spec, rt.board().params(),
                          options_.synthesis, options_.bundle_size);
   }
   return s.bundleable;
@@ -83,7 +100,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   int little_reserved = 0;
   for (int id : rt.live_ids()) {
     const runtime::AppRun& a = rt.app(id);
-    const AppState& s = state(id);
+    const AppState& s = state(rt, a);
     if (s.binding == Binding::kBig) {
       big_reserved += std::min(s.alloc_big, a.units_unfinished());
     } else if (s.binding == Binding::kLittle) {
@@ -101,7 +118,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
     for (int id : rt.live_ids()) {
       const runtime::AppRun& a = rt.app(id);
       if (a.started) continue;
-      AppState& s = state(id);
+      AppState& s = state(rt, a);
       if (s.binding == Binding::kLittle) {
         little_left += std::min(s.alloc_little, a.units_unfinished());
         s.binding = Binding::kWaiting;
@@ -114,7 +131,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
   // Primary allocation (lines 7-13), waiting apps in arrival order.
   for (int id : rt.live_ids()) {
     const runtime::AppRun& a = rt.app(id);
-    AppState& s = state(id);
+    AppState& s = state(rt, a);
     if (s.binding != Binding::kWaiting) continue;
 
     // Binding: prioritise Big slots for bundleable apps (lines 8-10). On a
@@ -164,7 +181,7 @@ void VersaSlotPolicy::allocate(runtime::BoardRuntime& rt) {
     for (int id : rt.live_ids()) {
       if (little_left <= 0) break;
       const runtime::AppRun& a = rt.app(id);
-      AppState& s = state(id);
+      AppState& s = state(rt, a);
       if (s.binding != Binding::kLittle) continue;
       int delta = a.units_unfinished() - s.alloc_little;
       if (delta <= 0) continue;
@@ -181,8 +198,8 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
   // Schedule pending units to idle slots within each app's allocation
   // (lines 13-19). PR requests are asynchronous: in dual-core mode they are
   // queued on the PR-server core and this pass continues immediately.
-  std::vector<int> idle_big = rt.idle_slots(fpga::SlotKind::kBig);
-  std::vector<int> idle_little = rt.idle_slots(fpga::SlotKind::kLittle);
+  rt.idle_slots(fpga::SlotKind::kBig, idle_big_);
+  rt.idle_slots(fpga::SlotKind::kLittle, idle_little_);
 
   auto take = [&rt](int app_id, int unit, std::vector<int>& idle) {
     int slot = rt.choose_slot(app_id, unit, idle);
@@ -195,16 +212,16 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
     placed = false;
     for (int id : rt.live_ids()) {
       const runtime::AppRun& a = rt.app(id);
-      AppState& s = state(id);
+      AppState& s = state(rt, a);
       int unit = next_pending_unit(a);
       if (unit < 0) continue;
-      if (s.binding == Binding::kBig && !idle_big.empty() &&
+      if (s.binding == Binding::kBig && !idle_big_.empty() &&
           a.units_placed() < s.alloc_big) {
-        rt.request_pr(a.id, unit, take(a.id, unit, idle_big));
+        rt.request_pr(a.id, unit, take(a.id, unit, idle_big_));
         placed = true;
-      } else if (s.binding == Binding::kLittle && !idle_little.empty() &&
+      } else if (s.binding == Binding::kLittle && !idle_little_.empty() &&
                  a.units_placed() < s.alloc_little) {
-        rt.request_pr(a.id, unit, take(a.id, unit, idle_little));
+        rt.request_pr(a.id, unit, take(a.id, unit, idle_little_));
         placed = true;
         s.wait_since = rt.sim().now();
       }
@@ -215,7 +232,7 @@ void VersaSlotPolicy::schedule(runtime::BoardRuntime& rt) {
   for (int id : rt.live_ids()) {
     const runtime::AppRun& a = rt.app(id);
     if (a.units_placed() > 0 || next_pending_unit(a) < 0) {
-      state(id).wait_since = rt.sim().now();
+      state(rt, a).wait_since = rt.sim().now();
     }
   }
 }
@@ -229,7 +246,7 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   sim::SimTime oldest = rt.sim().now();
   for (int id : rt.live_ids()) {
     const runtime::AppRun& a = rt.app(id);
-    const AppState& s = state(id);
+    const AppState& s = state(rt, a);
     if (s.binding == Binding::kBig || a.units_placed() > 0) continue;
     if (next_pending_unit(a) < 0) continue;
     if (rt.sim().now() - s.wait_since < options_.starvation_threshold) {
@@ -247,13 +264,14 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
   int victim_held = 1;  // must hold more than one slot to be preempted
   for (int id : rt.live_ids()) {
     if (id == starving) continue;
-    const AppState& s = state(id);
+    const runtime::AppRun& a = rt.app(id);
+    const AppState& s = state(rt, a);
     if (s.binding != Binding::kLittle) continue;
     if (rt.sim().now() - s.last_preempted < options_.preempt_cooldown &&
         s.last_preempted >= 0) {
       continue;
     }
-    int held = rt.app(id).units_placed();
+    int held = a.units_placed();
     if (held > victim_held) {
       victim_held = held;
       victim = id;
@@ -267,17 +285,17 @@ void VersaSlotPolicy::preempt_little(runtime::BoardRuntime& rt) {
       int unit_index = static_cast<int>(&u - v.units.data());
       rt.preempt_unit(victim, unit_index);
       m_preemptions_.add();
-      AppState& vs_state = state(victim);
+      AppState& vs_state = state(rt, v);
       vs_state.last_preempted = rt.sim().now();
       if (vs_state.alloc_little > 1) --vs_state.alloc_little;
-      AppState& st = state(starving);
+      AppState& st = state(rt, rt.app(starving));
       st.binding = Binding::kLittle;  // waiting apps enter the Little pool
       st.alloc_little = std::max(st.alloc_little, 1);
-      std::vector<int> idle = rt.idle_slots(fpga::SlotKind::kLittle);
+      rt.idle_slots(fpga::SlotKind::kLittle, idle_little_);
       int pending = next_pending_unit(rt.app(starving));
-      if (!idle.empty() && pending >= 0) {
+      if (!idle_little_.empty() && pending >= 0) {
         rt.request_pr(starving, pending,
-                      rt.choose_slot(starving, pending, idle));
+                      rt.choose_slot(starving, pending, idle_little_));
         st.wait_since = rt.sim().now();
       }
       return;

@@ -18,7 +18,6 @@
 // paper's individual mechanisms off.
 #pragma once
 
-#include <cassert>
 #include <vector>
 
 #include "apps/bundling.h"
@@ -26,6 +25,10 @@
 #include "obs/metrics.h"
 #include "runtime/policy.h"
 #include "sim/time.h"
+
+namespace vs::runtime {
+struct AppRun;
+}  // namespace vs::runtime
 
 namespace vs::core {
 
@@ -65,12 +68,11 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   void bind_metrics(obs::MetricsRegistry& registry,
                     const std::string& board) override;
 
-  /// Binding state, exposed for tests and the ablation benches.
+  /// Binding state of a live app of `rt`, exposed for tests and the
+  /// ablation benches (kWaiting once the app has left the runtime).
   enum class Binding { kWaiting, kBig, kLittle };
-  [[nodiscard]] Binding binding(int app_id) const {
-    auto i = static_cast<std::size_t>(app_id);
-    return i < state_.size() ? state_[i].binding : Binding::kWaiting;
-  }
+  [[nodiscard]] Binding binding(const runtime::BoardRuntime& rt,
+                                int app_id) const;
   [[nodiscard]] const VersaSlotOptions& options() const noexcept {
     return options_;
   }
@@ -93,16 +95,18 @@ class VersaSlotPolicy : public runtime::SchedulerPolicy {
   void preempt_little(runtime::BoardRuntime& rt);
 
   [[nodiscard]] bool can_bundle_cached(runtime::BoardRuntime& rt, int app_id);
-  /// State of an app this policy saw submitted (every live app was).
-  [[nodiscard]] AppState& state(int app_id) {
-    assert(static_cast<std::size_t>(app_id) < state_.size());
-    return state_[static_cast<std::size_t>(app_id)];
-  }
+  /// State of a live app of `rt` (on_app_submitted set it).
+  [[nodiscard]] AppState& state(const runtime::BoardRuntime& rt,
+                                const runtime::AppRun& app);
 
   VersaSlotOptions options_;
-  /// Per-app state indexed by runtime app id (ids are dense: an app's id is
-  /// the runtime's app count at its submission).
+  /// Per-app state indexed by the runtime's table row (BoardRuntime::row),
+  /// so it is O(live) like the table: a retired app's entry is simply
+  /// overwritten when its row is reused.
   std::vector<AppState> state_;
+  /// Scratch buffers for the idle-slot lists of a pass.
+  std::vector<int> idle_big_;
+  std::vector<int> idle_little_;
 
   // Telemetry: Algorithm 1/2 decision outcomes (no-ops until bound).
   obs::CounterHandle m_big_bindings_;     ///< vs_policy_big_bindings_total

@@ -81,8 +81,7 @@ void Pcap::finish_load() {
   busy_ = false;
   if (done.on_done) done.on_done();
   if (!busy_ && !queue_.empty()) {
-    Request next = std::move(queue_.front());
-    queue_.pop_front();
+    Request next = queue_.pop_front();
     queue_depth_.set(static_cast<double>(queue_.size()));
     start(std::move(next));
   } else {

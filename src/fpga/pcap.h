@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
@@ -17,6 +16,7 @@
 #include "sim/core.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 
 namespace vs::fpga {
@@ -83,7 +83,7 @@ class Pcap {
   void finish_load();
 
   sim::Simulator& sim_;
-  std::deque<Request> queue_;
+  util::Fifo<Request> queue_;
   // The in-flight request. The PCAP is a serial device, so the core-op
   // completion closure captures only `this` and the request parks here —
   // keeping the closure inside the event queue's inline buffer.

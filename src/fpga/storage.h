@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_set>
 
 #include "fpga/params.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/fifo.h"
 
 namespace vs::fpga {
 
@@ -122,9 +122,7 @@ class SdCard {
     busy_ = false;
     if (done.on_ready) done.on_ready();
     if (!busy_ && !queue_.empty()) {
-      Pending next = std::move(queue_.front());
-      queue_.pop_front();
-      start(std::move(next));
+      start(queue_.pop_front());
     }
   }
 
@@ -132,7 +130,7 @@ class SdCard {
   const BoardParams& params_;
   std::unordered_set<BitstreamKey> cache_;
   std::unordered_set<BitstreamKey> content_;
-  std::deque<Pending> queue_;
+  util::Fifo<Pending> queue_;
   Pending current_;
   bool busy_ = false;
   std::int64_t misses_ = 0;

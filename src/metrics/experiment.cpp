@@ -11,6 +11,7 @@
 #include "baselines/round_robin.h"
 #include "fpga/board.h"
 #include "obs/trace_hub.h"
+#include "sim/event_stream.h"
 #include "sim/simulator.h"
 
 namespace vs::metrics {
@@ -243,20 +244,21 @@ RunResult run_single_board(SystemKind kind,
     options.telemetry->start_sampling(sim);
   }
 
-  for (const apps::AppArrival& a : sequence) {
-    sim.schedule_at(a.arrival, [&epochs, &held, &suite, a] {
-      runtime::BoardRuntime& rt = *epochs.back().runtime;
-      if (rt.crashed()) {
-        // Board down: hold the arrival for re-admission at reboot. Its
-        // original arrival time is kept, so the downtime shows up in the
-        // app's response time.
-        held.push_back(runtime::BoardRuntime::MigratedApp::held(a));
-        return;
-      }
-      rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
-                a.spec_index, a.batch, a.arrival, a.item_interval, a.tenant);
-    });
-  }
+  sim::EventStream<apps::AppArrival> arrivals(
+      sim, sequence, [](const apps::AppArrival& a) { return a.arrival; },
+      [&epochs, &held, &suite](const apps::AppArrival& a) {
+        runtime::BoardRuntime& rt = *epochs.back().runtime;
+        if (rt.crashed()) {
+          // Board down: hold the arrival for re-admission at reboot. Its
+          // original arrival time is kept, so the downtime shows up in the
+          // app's response time.
+          held.push_back(runtime::BoardRuntime::MigratedApp::held(a));
+          return;
+        }
+        rt.submit(suite.at(static_cast<std::size_t>(a.spec_index)),
+                  a.spec_index, a.batch, a.arrival, a.item_interval,
+                  a.tenant);
+      });
   sim.run(options.time_limit);
 
   if (!epochs.back().runtime->crashed()) retire(*epochs.back().runtime);

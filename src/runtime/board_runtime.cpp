@@ -1,6 +1,7 @@
 #include "runtime/board_runtime.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/trace_hub.h"
@@ -162,7 +163,7 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   // inheritance, the whole causal chain) carries this board's tag.
   sim::TagScope tag_scope(sim(), board_.source_tag());
   AppRun app;
-  app.id = static_cast<int>(apps_.size());
+  app.id = next_id_++;
   app.spec = &spec;
   app.spec_index = spec_index;
   app.tenant = tenant;
@@ -179,13 +180,24 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
   // always sum to completed - arrival.
   app.phase = AppPhase::kQueueWait;
   app.phase_since = app.arrival;
-  apps_.push_back(std::move(app));
-  int id = apps_.back().id;
+  const int id = app.id;
   assert(open_scans_ == 0 && "admission under an open live-app scan");
+  std::uint32_t row;
+  if (free_rows_.empty()) {
+    row = static_cast<std::uint32_t>(rows_.size());
+    rows_.push_back(std::move(app));
+  } else {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+    rows_[row] = std::move(app);
+  }
+  assert(id_base_ + static_cast<int>(row_of_.size()) == id &&
+         "the id index ends at the newest id");
+  row_of_.push_back(row);
   assert((live_.empty() || live_.back() < id) && "live index stays sorted");
   live_.push_back(id);
   ++live_count_;
-  init_dirty(apps_.back());
+  init_dirty(rows_[row]);
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kAdmit, board_.name(), id,
                   spec.name, 0, "batch " + std::to_string(batch));
@@ -197,14 +209,14 @@ int BoardRuntime::submit(const apps::AppSpec& spec, int spec_index, int batch,
 }
 
 void BoardRuntime::enable_checkpoints(const CheckpointPolicy& policy) {
-  assert(apps_.empty() &&
+  assert(next_id_ == 0 &&
          "enable checkpointing before the first admission");
   ckpt_ = policy;
   if (ckpt_.delta_active()) enable_dirty_tracking(ckpt_.granularity);
 }
 
 void BoardRuntime::enable_dirty_tracking(std::int64_t granularity) {
-  assert(apps_.empty() &&
+  assert(next_id_ == 0 &&
          "enable dirty tracking before the first admission");
   if (granularity <= 0) return;
   dirty_granularity_ = dirty_granularity_ > 0
@@ -299,7 +311,7 @@ std::int64_t BoardRuntime::migratable_state_bytes() const {
 }
 
 void BoardRuntime::begin_migration_stream() {
-  for (AppRun& a : apps_) a.precopy_streamed = false;
+  for (int id : live_ids()) app(id).precopy_streamed = false;
 }
 
 std::int64_t BoardRuntime::take_migration_stream_bytes() {
@@ -481,14 +493,14 @@ void BoardRuntime::set_units(int app_id, std::vector<apps::UnitSpec> units) {
   init_dirty(a);
 }
 
-std::vector<int> BoardRuntime::idle_slots(fpga::SlotKind kind) const {
-  std::vector<int> out;
+void BoardRuntime::idle_slots(fpga::SlotKind kind,
+                              std::vector<int>& out) const {
+  out.clear();
   for (const fpga::Slot& s : board_.slots()) {
     if (s.kind() == kind && s.state() == fpga::SlotState::kIdle) {
       out.push_back(s.id());
     }
   }
-  return out;
 }
 
 int BoardRuntime::count_idle_slots(fpga::SlotKind kind) const {
@@ -523,23 +535,37 @@ bool BoardRuntime::item_ready(const AppRun& app, int unit_index) const {
   return up.items_done > u.items_done;
 }
 
+void BoardRuntime::throw_no_live_app(int id) const {
+  throw std::out_of_range("no live app " + std::to_string(id) + " on " +
+                          board_.name());
+}
+
 LiveIds BoardRuntime::live_ids() const {
   if (live_stale_) {
     assert(open_scans_ == 0 && "compacting under an open live-app scan");
     live_stale_ = false;
-    std::erase_if(live_, [this](int id) {
-      const AppRun& a = apps_[static_cast<std::size_t>(id)];
-      return a.spec == nullptr || a.done();
-    });
+    std::erase_if(live_, [this](int id) { return find(id) == nullptr; });
     assert(live_.size() == static_cast<std::size_t>(live_count_) &&
            "every retirement goes through retire()");
+    trim_id_index();
   }
   return LiveIds{live_, open_scans_};
 }
 
+void BoardRuntime::trim_id_index() const {
+  const int oldest = live_.empty() ? next_id_ : live_.front();
+  const auto dead = static_cast<std::size_t>(oldest - id_base_);
+  if (dead == 0 || 2 * dead < row_of_.size()) return;
+  row_of_.erase(row_of_.begin(),
+                row_of_.begin() + static_cast<std::ptrdiff_t>(dead));
+  id_base_ = oldest;
+}
+
 void BoardRuntime::retire(AppRun& a) {
-  assert((a.spec == nullptr || a.done()) && live_count_ > 0);
-  (void)a;
+  assert(find(a.id) == &a && live_count_ > 0);
+  policy_.on_app_retired(*this, a.id);
+  free_rows_.push_back(static_cast<std::uint32_t>(&a - rows_.data()));
+  a = AppRun{};  // vacant: releases the units, checkpoint and dirty state
   --live_count_;
   live_stale_ = true;
 }
@@ -826,7 +852,6 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_unstarted() {
     m.extracted = sim().now();
     m.ckpt_flow = a.ckpt_flow;
     out.push_back(std::move(m));
-    a.spec = nullptr;  // tombstone: extracted
     retire(a);
   }
   return out;
@@ -854,7 +879,6 @@ std::vector<BoardRuntime::MigratedApp> BoardRuntime::extract_migratable() {
     m.extracted = sim().now();
     m.ckpt_flow = a.ckpt_flow;
     out.push_back(std::move(m));
-    a.spec = nullptr;  // tombstone: extracted
     retire(a);
   }
   return out;
@@ -909,7 +933,6 @@ BoardRuntime::CrashReport BoardRuntime::crash() {
     } else {
       report.killed.push_back(std::move(m));
     }
-    a.spec = nullptr;  // tombstone: extracted by the crash
     retire(a);
   }
   // Every app is retired and every slot is about to be scrubbed: nothing
@@ -940,10 +963,9 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
   if (full_fabric_app_ >= 0) return;  // exclusive baseline: out of scope
   fpga::Slot& slot = board_.slot(slot_id);
   if (slot.state() == fpga::SlotState::kIdle) return;  // empty region
-  int app_id = slot.occupant_app();
-  if (app_id < 0) return;
-  AppRun& a = app(app_id);
-  if (a.spec == nullptr || a.done()) return;
+  AppRun* occupant = find(slot.occupant_app());
+  if (occupant == nullptr) return;
+  AppRun& a = *occupant;
   UnitRun* unit = nullptr;
   for (UnitRun& u : a.units) {
     if (u.slot == slot_id && u.state != UnitState::kFinished) {
@@ -952,7 +974,7 @@ void BoardRuntime::inject_slot_seu(int slot_id) {
     }
   }
   if (unit == nullptr) return;
-  VS_WARN << board_.name() << ": SEU kills " << a.spec->name << "#" << app_id
+  VS_WARN << board_.name() << ": SEU kills " << a.spec->name << "#" << a.id
           << " in slot " << slot_id;
   if (unit->state == UnitState::kReconfiguring || unit->item_in_flight) {
     // Mid-PR or mid-item: the in-flight operation completes mechanically
@@ -1017,7 +1039,9 @@ void BoardRuntime::try_launches() {
             a.stream_kick = next;
             int app_id = a.id;
             sim().schedule_at(next, [this, app_id] {
-              app(app_id).stream_kick = -1;
+              // The app may have been extracted since: its id then finds
+              // nothing, but the pass is still requested.
+              if (AppRun* woken = find(app_id)) woken->stream_kick = -1;
               kick();
             });
           }
@@ -1126,7 +1150,6 @@ void BoardRuntime::check_app_complete(AppRun& a) {
     }
   }
   a.completed = sim().now();
-  retire(a);
   ++counters_.apps_completed;
   m_apps_completed_.add();
   m_response_ms_.observe(sim::to_ms(a.completed - a.arrival));
@@ -1134,15 +1157,17 @@ void BoardRuntime::check_app_complete(AppRun& a) {
     touch_utilization();
     full_fabric_app_ = -1;
   }
+  // The app leaves the table for its completion record.
   CompletedApp c{a.id, a.spec_index, a.spec->name, a.arrival, a.completed};
   c.phase_ns = a.phase_ns;
   c.tenant = a.tenant;
+  retire(a);
   completed_.push_back(c);
-  VS_DEBUG << board_.name() << ": " << c.name << "#" << a.id
+  VS_DEBUG << board_.name() << ": " << c.name << "#" << c.app_id
            << " complete, response " << c.response_ms() << " ms";
   if (obs_ && obs_->journal_on()) {
     obs_->journal(sim().now(), obs::JournalEvent::kComplete, board_.name(),
-                  a.id, a.spec->name, 0,
+                  c.app_id, c.name, 0,
                   "response_ms " + std::to_string(c.response_ms()));
   }
   if (on_app_complete_) on_app_complete_(c);

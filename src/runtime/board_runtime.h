@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/bundling.h"
@@ -74,6 +75,8 @@ inline constexpr std::size_t kAppPhaseCount = 6;
 
 [[nodiscard]] const char* to_string(AppPhase p) noexcept;
 
+/// One row of a BoardRuntime's app table: a live app's runtime state. A
+/// vacant row (id -1) waits for reuse.
 struct AppRun {
   int id = -1;
   const apps::AppSpec* spec = nullptr;
@@ -279,17 +282,51 @@ class BoardRuntime {
     return board_.sim().now();
   }
   [[nodiscard]] sim::Simulator& sim() noexcept { return board_.sim(); }
-  [[nodiscard]] const std::vector<AppRun>& apps() const noexcept {
-    return apps_;
-  }
-  [[nodiscard]] AppRun& app(int id) {
-    return apps_.at(static_cast<std::size_t>(id));
-  }
-  [[nodiscard]] const AppRun& app(int id) const {
-    return apps_.at(static_cast<std::size_t>(id));
+  /// The app table: one row per live app plus vacant rows (id -1) kept for
+  /// reuse, so it never holds more rows than the peak live-app count. A
+  /// completed app leaves it for its completed() record, an extracted one
+  /// for the MigratedApp descriptor the extraction returns.
+  [[nodiscard]] const std::vector<AppRun>& rows() const noexcept {
+    return rows_;
   }
 
-  [[nodiscard]] std::vector<int> idle_slots(fpga::SlotKind kind) const;
+  /// The live app with runtime id `id`, or null once it completed or was
+  /// extracted. Its old row may hold another app by then: like the event
+  /// kernel's generation tags, the lookup checks the row's id, so a stale
+  /// id never reaches a reused row.
+  [[nodiscard]] const AppRun* find(int id) const noexcept {
+    // Unsigned wrap-around sends ids below id_base_ (and -1) out of range.
+    std::size_t i =
+        static_cast<std::size_t>(id) - static_cast<std::size_t>(id_base_);
+    if (i >= row_of_.size()) return nullptr;
+    const AppRun& a = rows_[row_of_[i]];
+    return a.id == id ? &a : nullptr;
+  }
+  [[nodiscard]] AppRun* find(int id) noexcept {
+    return const_cast<AppRun*>(std::as_const(*this).find(id));
+  }
+  /// The live app with runtime id `id`; throws std::out_of_range when it
+  /// completed, was extracted or never existed.
+  [[nodiscard]] AppRun& app(int id) {
+    return const_cast<AppRun&>(std::as_const(*this).app(id));
+  }
+  [[nodiscard]] const AppRun& app(int id) const {
+    const AppRun* a = find(id);
+    if (a == nullptr) throw_no_live_app(id);
+    return *a;
+  }
+  /// Table row of a live app (a reference into rows()): fixed while the
+  /// app lives, reused after it retires, always below rows().size().
+  /// Policies index dense per-app state by it, which keeps that state
+  /// O(live) too.
+  [[nodiscard]] std::size_t row(const AppRun& a) const noexcept {
+    assert(&a >= rows_.data() && &a < rows_.data() + rows_.size());
+    return static_cast<std::size_t>(&a - rows_.data());
+  }
+
+  /// Fills `out` with the ids of the idle slots of `kind`, in slot order.
+  /// The caller owns the buffer, so a pass reusing one allocates nothing.
+  void idle_slots(fpga::SlotKind kind, std::vector<int>& out) const;
   [[nodiscard]] int count_idle_slots(fpga::SlotKind kind) const;
 
   /// Placement hint: among idle `candidates`, returns the one whose
@@ -307,9 +344,10 @@ class BoardRuntime {
   /// Live-app index: ids of the apps neither done nor extracted, in
   /// ascending id (= arrival) order — the order every scheduling scan
   /// visits them in. submit() appends; a retirement (completion or
-  /// extraction) only counts down and marks the index stale, and the next
-  /// scan opened with no other scan open compacts it. A loop over the
-  /// returned scan therefore survives apps retiring under it.
+  /// extraction) vacates the app's row and marks the index stale, and the
+  /// next scan opened with no other scan open compacts it. A loop over the
+  /// returned scan therefore survives apps retiring under it; look each id
+  /// up with find() when the loop body can retire apps.
   [[nodiscard]] LiveIds live_ids() const;
 
   /// Apps not yet complete (the size of the live-app index).
@@ -529,8 +567,14 @@ class BoardRuntime {
   void finish_item(int app_id, int unit_index);
   void finish_unit(UnitRun& unit);
   void check_app_complete(AppRun& app);
-  /// Takes an app out of the live-app index (completion or extraction).
+  /// Takes an app out of the table (completion or extraction): tells the
+  /// policy, vacates its row for reuse and marks the live-app index stale.
+  /// The caller must have copied out whatever it still needs from `a`.
   void retire(AppRun& a);
+  /// Drops the id index's prefix below the oldest live id once it is at
+  /// least half the index (amortised O(1) per retirement).
+  void trim_id_index() const;
+  [[noreturn]] void throw_no_live_app(int id) const;
   /// Moves a unit to `next` in `slot` (-1 none, -2 full fabric). Every
   /// unit transition goes through here, so running_usage_ and
   /// slot_occupancy_ never miss one.
@@ -558,7 +602,14 @@ class BoardRuntime {
   fpga::Board& board_;
   SchedulerPolicy& policy_;
   bool dual_core_;
-  std::vector<AppRun> apps_;
+  // The app table (see rows()) and its id index: app `id` lives in row
+  // row_of_[id - id_base_]. The index spans the ids from the oldest live
+  // app up; the prefix below it is trimmed with the live-app index.
+  std::vector<AppRun> rows_;
+  std::vector<std::uint32_t> free_rows_;  ///< vacant rows, reused LIFO
+  mutable std::vector<std::uint32_t> row_of_;
+  mutable int id_base_ = 0;
+  int next_id_ = 0;  ///< the next admission's id (ids are never reused)
   // Live-app index (see live_ids()); compacted lazily, hence mutable.
   mutable std::vector<int> live_;
   mutable bool live_stale_ = false;

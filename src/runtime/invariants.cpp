@@ -1,5 +1,6 @@
 #include "runtime/invariants.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -13,8 +14,8 @@ void check(InvariantReport& report, bool condition, const std::string& msg) {
 }
 
 std::string unit_name(const AppRun& a, int unit_index) {
-  return (a.spec ? a.spec->name : std::string("<extracted>")) + "#" +
-         std::to_string(a.id) + ".u" + std::to_string(unit_index);
+  return a.spec->name + "#" + std::to_string(a.id) + ".u" +
+         std::to_string(unit_index);
 }
 
 }  // namespace
@@ -34,8 +35,8 @@ InvariantReport audit(const BoardRuntime& rt) {
   // Map slot id -> (app, unit) holding it, built from unit state.
   std::map<int, std::pair<int, int>> holders;
 
-  for (const AppRun& a : rt.apps()) {
-    if (a.spec == nullptr) continue;  // extracted tombstone: no state to hold
+  for (const AppRun& a : rt.rows()) {
+    if (a.id < 0) continue;  // vacant row
     int prev_items = -1;
     for (std::size_t ui = 0; ui < a.units.size(); ++ui) {
       const UnitRun& u = a.units[ui];
@@ -88,15 +89,14 @@ InvariantReport audit(const BoardRuntime& rt) {
       }
     }
 
-    // I4: app completion implies all units finished, and vice versa.
+    // I4: a table row holds a live app: one that has a spec, is not done
+    // and does not have every unit finished (completion retires it).
     bool all_finished = true;
     for (const UnitRun& u : a.units) {
       all_finished &= (u.state == UnitState::kFinished);
     }
-    if (a.done()) {
-      check(report, all_finished,
-            "app " + std::to_string(a.id) + ": done with unfinished units");
-    }
+    check(report, a.spec != nullptr && !a.done() && !all_finished,
+          "app " + std::to_string(a.id) + ": finished but still in the table");
 
     // I5: derived counts agree with unit states.
     int placed = 0, unfinished = 0;
@@ -143,12 +143,17 @@ InvariantReport audit(const BoardRuntime& rt) {
               ": completed before arrival");
   }
 
-  // I9: the live-app index is exactly the brute-force filter of apps(), in
-  // the same order, and active_apps() is its size.
+  // I9: the live-app index is exactly the ids of the occupied table rows,
+  // in ascending order; each id finds its own row; active_apps() is the
+  // count.
   std::vector<int> live;
-  for (const AppRun& a : rt.apps()) {
-    if (a.spec != nullptr && !a.done()) live.push_back(a.id);
+  for (const AppRun& a : rt.rows()) {
+    if (a.id < 0) continue;
+    live.push_back(a.id);
+    check(report, rt.find(a.id) == &a,
+          "app " + std::to_string(a.id) + ": id does not find its row");
   }
+  std::sort(live.begin(), live.end());
   check(report, rt.live_ids().to_vector() == live,
         "live-app index disagrees with the app table");
   check(report, rt.active_apps() == static_cast<int>(live.size()),

@@ -45,6 +45,12 @@ class SchedulerPolicy {
   /// can register it in its own queues. A pass is always kicked afterwards.
   virtual void on_app_submitted(BoardRuntime&, int app_id) = 0;
 
+  /// Called when an app leaves the runtime's table (completed or
+  /// extracted), while its row still holds it. A policy keeping per-app
+  /// state outside the table drops it here, so that state stays O(live).
+  /// The id is never admitted again.
+  virtual void on_app_retired(BoardRuntime&, int /*app_id*/) {}
+
   /// One scheduling pass: inspect runtime state, issue PR/preempt commands.
   /// Ready-item launches are performed by the runtime after this returns.
   virtual void on_pass(BoardRuntime&) = 0;

@@ -47,11 +47,13 @@ ResourceManager::ResourceManager(sim::Simulator& sim,
 }
 
 void ResourceManager::start(int suite_size) {
+  assert(arrival_stream_ == nullptr && "start() runs once");
   std::vector<ServeArrival> trace = generate_trace(config_, suite_size);
   arrivals_ = static_cast<std::int64_t>(trace.size());
-  for (const ServeArrival& a : trace) {
-    sim_.schedule_at(a.app.arrival, [this, a] { on_arrival(a); });
-  }
+  arrival_stream_ = std::make_unique<sim::EventStream<ServeArrival>>(
+      sim_, std::move(trace),
+      [](const ServeArrival& a) { return a.app.arrival; },
+      [this](const ServeArrival& a) { on_arrival(a); });
 }
 
 void ResourceManager::on_arrival(const ServeArrival& a) {

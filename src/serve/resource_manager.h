@@ -14,7 +14,7 @@
 //
 // Determinism: the trace is a pure function of (config, seed); every
 // admission and routing decision runs inside a tag-0 event (arrivals via
-// Simulator::schedule_at, completions inside the cluster's tag-0
+// one sim::EventStream, completions inside the cluster's tag-0
 // completion path), so everything the plane schedules carries tag 0 and,
 // at equal times, fires before any board's own events. Telemetry
 // (`vs_tenant_*`) registers only when a registry is passed AND the plane
@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -29,6 +30,7 @@
 #include "serve/admission.h"
 #include "serve/arrival.h"
 #include "serve/tenant.h"
+#include "sim/event_stream.h"
 #include "sim/simulator.h"
 
 namespace vs::serve {
@@ -52,8 +54,9 @@ class ResourceManager {
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
 
-  /// Generates the arrival trace and schedules every arrival. Call once,
-  /// before running the simulator. `suite_size` bounds the per-arrival
+  /// Generates the arrival trace and feeds it to the simulator, one
+  /// pending arrival at a time (sim::EventStream). Call once, before
+  /// running the simulator. `suite_size` bounds the per-arrival
   /// spec draw (the cluster's suite size).
   void start(int suite_size);
 
@@ -64,7 +67,7 @@ class ResourceManager {
       const noexcept {
     return tenant_counters_;
   }
-  /// Arrivals scheduled by start().
+  /// Arrivals in the trace start() generated.
   [[nodiscard]] std::int64_t arrivals() const noexcept { return arrivals_; }
   /// Completions attributed to a tenant (== admitted once drained, minus
   /// anything the recovery layer lost or shed).
@@ -84,6 +87,7 @@ class ResourceManager {
   const ServeConfig& config_;
   AdmissionController admission_;
   std::vector<TenantCounters> tenant_counters_;
+  std::unique_ptr<sim::EventStream<ServeArrival>> arrival_stream_;
   std::int64_t arrivals_ = 0;
   std::int64_t completions_ = 0;
   int completions_since_rebalance_ = 0;

@@ -10,10 +10,17 @@ Core::Core(Simulator& sim, std::string name)
 
 void Core::submit(SimDuration duration, EventFn on_done, OpKind kind) {
   assert(duration >= 0);
-  queue_.push_back(Op{duration, std::move(on_done), kind});
   ops_total_.add();
   queue_depth_.add(1.0);
-  if (!busy_) start_next();
+  Op op{duration, std::move(on_done), kind};
+  if (!busy_ && queue_.empty()) {
+    start(std::move(op));  // the common idle case never touches the queue
+    return;
+  }
+  queue_.push_back(std::move(op));
+  // Idle with a backlog happens only inside a completion callback, before
+  // finish_current() pulls the next op: the oldest op starts.
+  if (!busy_) start(queue_.pop_front());
 }
 
 void Core::bind_metrics(obs::MetricsRegistry& registry) {
@@ -33,10 +40,8 @@ SimTime Core::available_at() const noexcept {
   return t;
 }
 
-void Core::start_next() {
-  assert(!busy_ && !queue_.empty());
-  Op op = std::move(queue_.front());
-  queue_.pop_front();
+void Core::start(Op op) {
+  assert(!busy_);
   busy_ = true;
   current_kind_ = op.kind;
   current_end_ = sim_.now() + op.duration;
@@ -49,7 +54,7 @@ void Core::start_next() {
 void Core::reset() {
   if (busy_) {
     sim_.cancel(finish_event_);
-    // start_next() charged the full duration up front; give back the part
+    // start() charged the full duration up front; give back the part
     // that will never execute.
     if (current_end_ > sim_.now()) {
       sim::SimDuration remaining = current_end_ - sim_.now();
@@ -72,7 +77,7 @@ void Core::finish_current() {
   if (done) done();
   // The completion callback may have submitted more work and restarted the
   // core already; only pull the next op if still idle.
-  if (!busy_ && !queue_.empty()) start_next();
+  if (!busy_ && !queue_.empty()) start(queue_.pop_front());
 }
 
 }  // namespace vs::sim

@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/fifo.h"
 
 namespace vs::sim {
 
@@ -68,12 +68,12 @@ class Core {
     OpKind kind;
   };
 
-  void start_next();
+  void start(Op op);
   void finish_current();
 
   Simulator& sim_;
   std::string name_;
-  std::deque<Op> queue_;
+  util::Fifo<Op> queue_;  ///< waiting ops; empty while the core is idle
   bool busy_ = false;
   SimTime current_end_ = 0;
   OpKind current_kind_ = OpKind::kPass;  ///< meaningful only while busy_

@@ -5,12 +5,14 @@
 
 namespace vs::sim {
 
-EventId EventQueue::schedule(SimTime when, EventFn fn, SourceTag tag) {
+EventId EventQueue::schedule_keyed(SimTime when, EventFn fn, SourceTag tag,
+                                   std::uint64_t seq) {
   assert(fn && "scheduling an empty event");
+  assert(seq < next_seq_ && "sequence number was never reserved");
   std::uint32_t index = alloc_slot();
   Slot& s = slab_[index];
   s.fn = std::move(fn);
-  s.seq = next_seq_++;
+  s.seq = seq;
   s.tag = tag;
   EventId id = (static_cast<EventId>(s.gen) << 32) | index;
   heap_.push_back(Node{when, id});

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_event.h"
@@ -45,7 +46,23 @@ class EventQueue {
   /// Schedules `fn` at absolute time `when` under `tag`. Returns an id
   /// usable with cancel(). Events at equal times fire in (tag, scheduling
   /// order).
-  EventId schedule(SimTime when, EventFn fn, SourceTag tag = 0);
+  EventId schedule(SimTime when, EventFn fn, SourceTag tag = 0) {
+    return schedule_keyed(when, std::move(fn), tag, next_seq_++);
+  }
+
+  /// Reserves `count` consecutive sequence numbers and returns the first.
+  /// Scheduling later under one of them (schedule_keyed) orders the event
+  /// exactly as if it had been scheduled at the reservation point, which
+  /// lets a time-sorted stream keep one event pending instead of all.
+  std::uint64_t reserve_seqs(std::uint64_t count) noexcept {
+    std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
+
+  /// Schedules under an explicit sequence number from reserve_seqs().
+  EventId schedule_keyed(SimTime when, EventFn fn, SourceTag tag,
+                         std::uint64_t seq);
 
   /// Lazily cancels a pending event: the closure is destroyed immediately
   /// (releasing its captures) but the 16-byte heap node stays behind as a

@@ -15,6 +15,14 @@ EventId Simulator::schedule_at(SimTime when, EventFn fn) {
   return queue_.schedule(when, std::move(fn), tag_);
 }
 
+EventId Simulator::schedule_reserved(SimTime when, const KeyBlock& keys,
+                                     std::uint64_t index, EventFn fn) {
+  assert(when >= now_ && "events cannot be scheduled in the past");
+  assert(index < keys.count && "key outside the reserved block");
+  return queue_.schedule_keyed(when, std::move(fn), keys.tag,
+                               keys.first + index);
+}
+
 std::uint64_t Simulator::run(SimTime until) {
   std::uint64_t n = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {

@@ -40,6 +40,26 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// A block of order keys reserved now for events scheduled later.
+  struct KeyBlock {
+    SourceTag tag = 0;
+    std::uint64_t first = 0;  ///< sequence number of key 0
+    std::uint64_t count = 0;
+  };
+
+  /// Reserves `count` consecutive order keys under the current source tag.
+  /// An event scheduled later under key i (schedule_reserved) sorts exactly
+  /// where it would have if it had been the i-th of `count` events
+  /// scheduled back to back right now. sim::EventStream builds on this.
+  KeyBlock reserve_keys(std::uint64_t count) noexcept {
+    return KeyBlock{tag_, queue_.reserve_seqs(count), count};
+  }
+
+  /// Schedules `fn` at absolute time `when` (>= now()) under key `index`
+  /// of `keys`. Each key is used at most once.
+  EventId schedule_reserved(SimTime when, const KeyBlock& keys,
+                            std::uint64_t index, EventFn fn);
+
   /// Runs until the event set drains or `until` is passed (events strictly
   /// after `until` stay pending). Returns the number of events executed.
   std::uint64_t run(SimTime until = std::numeric_limits<SimTime>::max());

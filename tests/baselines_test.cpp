@@ -39,12 +39,12 @@ TEST(BaselineExclusive, RunsAppsOneAtATime) {
   bool overlap = false;
   bool observed = false;
   for (int i = 0; i < 200000 && f.sim.step(); ++i) {
-    const auto& apps = rt.apps();
-    if (apps.size() == 2) {
-      bool first_live = apps[0].started && !apps[0].done();
-      if (first_live && apps[1].started) overlap = true;
-      if (first_live) observed = true;
-    }
+    // Completed apps leave the table, so find() is null once done.
+    const runtime::AppRun* first = rt.find(0);
+    const runtime::AppRun* second = rt.find(1);
+    bool first_live = first != nullptr && first->started;
+    if (first_live && second != nullptr && second->started) overlap = true;
+    if (first_live) observed = true;
   }
   EXPECT_TRUE(observed);
   EXPECT_FALSE(overlap);
@@ -77,10 +77,12 @@ TEST(Fcfs, OneSlotPerApp) {
   // At no point may the app hold more than one slot.
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    if (const auto* a = rt.find(id)) {
+      max_placed = std::max(max_placed, a->units_placed());
+    }
   }
   EXPECT_EQ(max_placed, 1);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   EXPECT_EQ(rt.counters().pr_requests, 4);  // each task swapped in once
 }
 
@@ -93,7 +95,7 @@ TEST(Fcfs, ServesArrivalOrder) {
   for (int i = 0; i < 10; ++i) rt.submit(app, 0, 2, 0);
   f.sim.run(sim::ms(50));
   int started = 0;
-  for (const auto& a : rt.apps()) started += a.started;
+  for (int id : rt.live_ids()) started += rt.app(id).started;
   EXPECT_EQ(started, 8);
   EXPECT_FALSE(rt.app(8).started);
   EXPECT_FALSE(rt.app(9).started);
@@ -133,7 +135,9 @@ TEST(RoundRobin, OneSlotPerApp) {
   int id = rt.submit(app, 0, 2, 0);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    if (const auto* a = rt.find(id)) {
+      max_placed = std::max(max_placed, a->units_placed());
+    }
   }
   EXPECT_EQ(max_placed, 1);
 }
@@ -154,10 +158,12 @@ TEST(Nimblock, UsesMultipleSlotsPerApp) {
   int id = rt.submit(app, 0, 10, 0);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    if (const auto* a = rt.find(id)) {
+      max_placed = std::max(max_placed, a->units_placed());
+    }
   }
   EXPECT_GT(max_placed, 1);  // pipelined execution
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(Nimblock, PreemptsForStarvingApp) {

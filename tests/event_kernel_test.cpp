@@ -1,17 +1,22 @@
 // Tests for the allocation-free event kernel: InlineEvent lifetime
-// semantics (SBO, heap fallback, move-only captures) and the slab-backed
+// semantics (SBO, heap fallback, move-only captures), the slab-backed
 // 4-ary-heap EventQueue (generation-tagged cancel, FIFO determinism under
-// interleaved schedule/cancel/pop, equivalence with a reference model).
+// interleaved schedule/cancel/pop, equivalence with a reference model) and
+// the lazy EventStream feed (same order as scheduling everything up front).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/event_stream.h"
 #include "sim/inline_event.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace vs::sim {
@@ -381,6 +386,160 @@ TEST(EventQueueTieBreak, DefaultTagZeroPreservesLegacyFifo) {
   }
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// ---- EventStream ----------------------------------------------------------
+//
+// A stream keeps one item pending under order keys reserved at its
+// construction. Each test runs one scenario twice, once feeding the items
+// through EventStream and once scheduling every item up front at the same
+// point, and requires the identical firing log.
+
+struct StreamItem {
+  SimTime time = 0;
+  int label = 0;
+};
+
+SimTime item_time(const StreamItem& item) { return item.time; }
+
+using Streams = std::vector<std::unique_ptr<EventStream<StreamItem>>>;
+
+/// Feeds `items` lazily (kept alive in `streams`) or schedules them all now.
+void add_stream(Simulator& sim, bool lazy, std::vector<StreamItem> items,
+                std::function<void(const StreamItem&)> fire,
+                Streams& streams) {
+  if (lazy) {
+    streams.push_back(std::make_unique<EventStream<StreamItem>>(
+        sim, std::move(items), item_time, std::move(fire)));
+    return;
+  }
+  for (const StreamItem& item : items) {
+    sim.schedule_at(item.time, [fire, item] { fire(item); });
+  }
+}
+
+/// Background events, stream items and their children on a coarse time
+/// grid (so ties are frequent) under three tags. Returns the firing log.
+std::vector<int> stream_scenario(std::uint64_t seed, bool lazy) {
+  util::Rng rng(seed);
+  Simulator sim;
+  Streams streams;
+  std::vector<int> log;
+  int budget = 200;  // children left to spawn
+  auto grid = [&rng](int lo, int hi) {
+    return static_cast<SimTime>(rng.uniform_int(lo, hi)) * 10;
+  };
+  // Every firing logs its label and may schedule a child, at an equal or
+  // later time and under a random tag; children at an item's exact time
+  // were scheduled after the stream's reservation and must fire after it.
+  std::function<void(int)> fire = [&](int label) {
+    log.push_back(label);
+    if (budget <= 0 || !rng.bernoulli(0.5)) return;
+    int child = 100000 + budget--;
+    TagScope scope(sim, static_cast<SourceTag>(rng.uniform_int(0, 2)));
+    sim.schedule(grid(0, 3), [&fire, child] { fire(child); });
+  };
+  auto sorted_items = [&](int base, int count, int lo) {
+    std::vector<StreamItem> items;
+    for (int i = 0; i < count; ++i) items.push_back({grid(lo, 20), base + i});
+    std::stable_sort(items.begin(), items.end(),
+                     [](const StreamItem& a, const StreamItem& b) {
+                       return a.time < b.time;
+                     });
+    return items;
+  };
+  auto fire_item = [&fire](const StreamItem& item) { fire(item.label); };
+
+  // Scheduled before the streams: equal-time ones fire before the items.
+  for (int i = 0; i < 15; ++i) {
+    sim.schedule_at(grid(0, 20), [&fire, i] { fire(i); });
+  }
+  // Two interleaved sorted streams, an unsorted one and an empty one.
+  add_stream(sim, lazy, sorted_items(1000, 30, 0), fire_item, streams);
+  add_stream(sim, lazy, sorted_items(2000, 20, 0), fire_item, streams);
+  std::vector<StreamItem> unsorted;
+  for (int i = 0; i < 10; ++i) unsorted.push_back({grid(0, 20), 3000 + i});
+  add_stream(sim, lazy, std::move(unsorted), fire_item, streams);
+  add_stream(sim, lazy, {}, fire_item, streams);
+  // Scheduled after the streams at setup: equal-time ones fire after.
+  for (int i = 0; i < 15; ++i) {
+    sim.schedule_at(grid(0, 20), [&fire, i] { fire(500 + i); });
+  }
+  // A stream started mid-run under tag 2 inherits that tag.
+  sim.schedule_at(50, [&] {
+    TagScope scope(sim, 2);
+    add_stream(sim, lazy, sorted_items(4000, 10, 5), fire_item, streams);
+  });
+  sim.run();
+  return log;
+}
+
+TEST(EventStream, FiresInTheUpFrontOrderOverManySeeds) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::vector<int> eager = stream_scenario(seed, /*lazy=*/false);
+    std::vector<int> lazy = stream_scenario(seed, /*lazy=*/true);
+    ASSERT_GT(eager.size(), 100u);
+    ASSERT_EQ(lazy, eager) << "seed " << seed;
+  }
+}
+
+TEST(EventStream, EqualTimeEventScheduledBeforeTheStreamFiresFirst) {
+  Simulator sim;
+  std::vector<int> log;
+  sim.schedule_at(10, [&log] { log.push_back(0); });
+  EventStream<StreamItem> stream(
+      sim, {{10, 1}, {10, 2}}, item_time,
+      [&log](const StreamItem& item) { log.push_back(item.label); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventStream, EqualTimeEventScheduledDuringTheRunFiresAfter) {
+  Simulator sim;
+  std::vector<int> log;
+  EventStream<StreamItem> stream(
+      sim, {{5, 1}, {10, 2}}, item_time,
+      [&log](const StreamItem& item) { log.push_back(item.label); });
+  // At t=0, while only the first item is pending, another event schedules
+  // one for t=10, the second item's time: the item's reserved key sorts
+  // first, exactly as if every item had been scheduled up front.
+  sim.schedule_at(0, [&] {
+    sim.schedule_at(10, [&log] { log.push_back(9); });
+  });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 9}));
+}
+
+TEST(EventStream, TwoStreamsInterleaveByTimeThenCreationOrder) {
+  Simulator sim;
+  std::vector<int> log;
+  auto fire = [&log](const StreamItem& item) { log.push_back(item.label); };
+  EventStream<StreamItem> a(sim, {{0, 10}, {20, 11}, {20, 12}}, item_time,
+                            fire);
+  EventStream<StreamItem> b(sim, {{10, 20}, {20, 21}, {30, 22}}, item_time,
+                            fire);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{10, 20, 11, 12, 21, 22}));
+}
+
+TEST(EventStream, EmptyStreamSchedulesNothing) {
+  Simulator sim;
+  int fired = 0;
+  EventStream<StreamItem> stream(sim, {}, item_time,
+                                 [&fired](const StreamItem&) { ++fired; });
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(EventStream, UnsortedItemsFireInTimeThenIndexOrder) {
+  Simulator sim;
+  std::vector<int> log;
+  EventStream<StreamItem> stream(
+      sim, {{30, 0}, {10, 1}, {30, 2}, {10, 3}}, item_time,
+      [&log](const StreamItem& item) { log.push_back(item.label); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 3, 0, 2}));
 }
 
 }  // namespace

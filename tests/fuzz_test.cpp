@@ -46,8 +46,9 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
     // to place the bundles into).
     if (rng_.bernoulli(0.1) &&
         rt.board().count_slots(fpga::SlotKind::kBig) > 0) {
-      for (const runtime::AppRun& a : rt.apps()) {
-        if (a.spec == nullptr || a.done() || a.started) continue;
+      for (int id : rt.live_ids()) {
+        const runtime::AppRun& a = rt.app(id);
+        if (a.started) continue;
         if (apps::can_bundle(*a.spec, rt.board().params())) {
           rt.set_units(a.id, apps::make_big_units(*a.spec, a.batch,
                                                   rt.board().params()));
@@ -61,8 +62,8 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
     // bug, not a runtime one — chaos stays within the legal contract).
     for (int attempt = 0; attempt < 4; ++attempt) {
       std::vector<std::pair<int, int>> placeable;  // (app, lowest pending)
-      for (const runtime::AppRun& a : rt.apps()) {
-        if (a.spec == nullptr || a.done()) continue;
+      for (int id : rt.live_ids()) {
+        const runtime::AppRun& a = rt.app(id);
         for (const runtime::UnitRun& u : a.units) {
           if (u.state == runtime::UnitState::kPending) {
             placeable.emplace_back(a.id,
@@ -77,7 +78,8 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
                                   1))];
       const runtime::UnitRun& u =
           rt.app(app_id).units[static_cast<std::size_t>(unit)];
-      auto idle = rt.idle_slots(u.spec.slot_kind);
+      std::vector<int> idle;
+      rt.idle_slots(u.spec.slot_kind, idle);
       if (idle.empty()) continue;
       int slot = idle[static_cast<std::size_t>(
           rng_.uniform_int(0, static_cast<std::int64_t>(idle.size()) - 1))];
@@ -89,14 +91,15 @@ class ChaosPolicy final : public runtime::SchedulerPolicy {
     // re-place it into a random idle slot (exercises release/re-PR paths
     // without risking a stall).
     if (rng_.bernoulli(0.2)) {
-      for (const runtime::AppRun& a : rt.apps()) {
-        if (a.spec == nullptr || a.done()) continue;
+      for (int id : rt.live_ids()) {
+        const runtime::AppRun& a = rt.app(id);
         for (const runtime::UnitRun& u : a.units) {
           if (u.state == runtime::UnitState::kRunning && !u.item_in_flight &&
               u.items_done < a.batch && rng_.bernoulli(0.3)) {
             int unit_index = static_cast<int>(&u - a.units.data());
             rt.preempt_unit(a.id, unit_index);
-            auto idle = rt.idle_slots(u.spec.slot_kind);
+            std::vector<int> idle;
+            rt.idle_slots(u.spec.slot_kind, idle);
             ASSERT_FALSE(idle.empty());  // at least the freed slot
             int slot = idle[static_cast<std::size_t>(rng_.uniform_int(
                 0, static_cast<std::int64_t>(idle.size()) - 1))];

@@ -297,10 +297,12 @@ TEST(Dml, CompletesAndPipelinesMultiSlot) {
   int id = rt.submit(app, 0, 10, 0);
   int max_placed = 0;
   while (sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    if (const auto* a = rt.find(id)) {
+      max_placed = std::max(max_placed, a->units_placed());
+    }
   }
   EXPECT_GT(max_placed, 1);  // pipelined, unlike naive FCFS
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   EXPECT_STREQ(policy.name(), "DML");
   EXPECT_FALSE(policy.dual_core());
 }
@@ -321,7 +323,8 @@ TEST(Dml, BackfillsPastBlockedHead) {
   int tiny_id = rt.submit(tiny, 2, 1, sim.now());
   sim.run(sim::ms(2000));
   // tiny got a slot even while mid waits for its full allocation.
-  EXPECT_TRUE(rt.app(tiny_id).done() || rt.app(tiny_id).started);
+  EXPECT_TRUE(test::completion(rt, tiny_id) != nullptr ||
+              rt.app(tiny_id).started);
   (void)mid_id;
   sim.run();
   EXPECT_EQ(rt.completed().size(), 3u);

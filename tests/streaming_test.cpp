@@ -47,9 +47,10 @@ TEST(Streaming, ExecutionPacedBySource) {
   int id = rt.submit(app, 0, /*batch=*/5, /*arrival=*/0,
                      /*item_interval=*/sim::ms(100));
   sim.run();
-  ASSERT_TRUE(rt.app(id).done());
-  EXPECT_GE(rt.app(id).completed, sim::ms(400));  // 5th item at t=400ms
-  EXPECT_LT(rt.app(id).completed, sim::ms(700));
+  const CompletedApp* done = test::completion(rt, id);
+  ASSERT_NE(done, nullptr);
+  EXPECT_GE(done->completed, sim::ms(400));  // 5th item at t=400ms
+  EXPECT_LT(done->completed, sim::ms(700));
   EXPECT_TRUE(audit(rt).ok());
 }
 
@@ -62,7 +63,7 @@ TEST(Streaming, FastSourceDoesNotSlowExecution) {
     apps::AppSpec app = make_uniform_app("a", 2, sim::ms(20));
     int id = rt.submit(app, 0, 10, 0, interval);
     sim.run();
-    return rt.app(id).completed;
+    return test::completion(rt, id)->completed;
   };
   // Source faster than the kernel: negligible effect vs staged.
   sim::SimTime staged = completion(0);
@@ -78,10 +79,8 @@ TEST(Streaming, DownstreamStagesUnaffectedBySourceGating) {
   apps::AppSpec app = make_uniform_app("a", 3, sim::ms(2));
   int id = rt.submit(app, 0, 4, 0, sim::ms(30));
   sim.run();
-  const AppRun& run = rt.app(id);
-  ASSERT_TRUE(run.done());
-  for (const UnitRun& u : run.units) EXPECT_EQ(u.items_done, 4);
-  EXPECT_EQ(rt.counters().items_executed, 12);
+  ASSERT_NE(test::completion(rt, id), nullptr);
+  EXPECT_EQ(rt.counters().items_executed, 12);  // 4 items through 3 units
 }
 
 TEST(Streaming, WorksThroughExperimentHarness) {

@@ -56,6 +56,17 @@ inline apps::AppSpec make_uniform_app(const std::string& name, int n_tasks,
   return app;
 }
 
+/// The completion record of app `id` on `rt`, or null while it has none.
+/// A completed app leaves the runtime's table (BoardRuntime::find returns
+/// null), so tests read finished apps here.
+inline const runtime::CompletedApp* completion(const runtime::BoardRuntime& rt,
+                                               int id) {
+  for (const runtime::CompletedApp& c : rt.completed()) {
+    if (c.app_id == id) return &c;
+  }
+  return nullptr;
+}
+
 /// A policy whose pass behaviour is provided by the test as a callback.
 /// Useful for driving the runtime into precise states.
 class ScriptedPolicy final : public runtime::SchedulerPolicy {
@@ -87,20 +98,21 @@ class GreedyPolicy final : public runtime::SchedulerPolicy {
   [[nodiscard]] bool dual_core() const override { return dual_; }
   void on_app_submitted(runtime::BoardRuntime&, int) override {}
   void on_pass(runtime::BoardRuntime& rt) override {
-    for (const runtime::AppRun& a : rt.apps()) {
-      if (a.spec == nullptr || a.done()) continue;
+    for (int id : rt.live_ids()) {
+      const runtime::AppRun& a = rt.app(id);
       for (const runtime::UnitRun& u : a.units) {
         if (u.state != runtime::UnitState::kPending) continue;
-        auto idle = rt.idle_slots(u.spec.slot_kind);
-        if (idle.empty()) return;
+        rt.idle_slots(u.spec.slot_kind, idle_);
+        if (idle_.empty()) return;
         int unit_index = static_cast<int>(&u - a.units.data());
-        rt.request_pr(a.id, unit_index, idle.front());
+        rt.request_pr(a.id, unit_index, idle_.front());
       }
     }
   }
 
  private:
   bool dual_;
+  std::vector<int> idle_;
 };
 
 }  // namespace vs::test

@@ -54,11 +54,11 @@ TEST(VersaSlot, BundleableAppBindsToBigSlots) {
   auto suite = apps::make_suite(f.board.params());
   int id = rt.submit(suite[1], 1, 10, 0);  // LeNet, 6 tasks -> 2 bundles
   f.sim.run(sim::ms(5));
-  EXPECT_EQ(policy.binding(id), VersaSlotPolicy::Binding::kBig);
+  EXPECT_EQ(policy.binding(rt, id), VersaSlotPolicy::Binding::kBig);
   EXPECT_EQ(rt.app(id).units.size(), 2u);  // re-unitised into bundles
   EXPECT_EQ(rt.app(id).units[0].spec.slot_kind, fpga::SlotKind::kBig);
   f.sim.run();
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   EXPECT_EQ(rt.counters().pr_requests, 2);  // two big PRs, no task swaps
 }
 
@@ -73,9 +73,9 @@ TEST(VersaSlot, OverflowAppsBindToLittle) {
   int c = rt.submit(suite[2], 2, 8, 0);
   (void)c;
   f.sim.run(sim::ms(5));
-  EXPECT_EQ(policy.binding(a), VersaSlotPolicy::Binding::kBig);
+  EXPECT_EQ(policy.binding(rt, a), VersaSlotPolicy::Binding::kBig);
   // b gets no big slots (0 available) -> bound to Little; c too.
-  EXPECT_EQ(policy.binding(b), VersaSlotPolicy::Binding::kLittle);
+  EXPECT_EQ(policy.binding(rt, b), VersaSlotPolicy::Binding::kLittle);
   EXPECT_EQ(rt.app(b).units.size(), 6u);  // still per-task units
   f.sim.run();
   EXPECT_EQ(rt.completed().size(), 3u);
@@ -89,7 +89,7 @@ TEST(VersaSlot, RebindingPromotesWaitingLittleApp) {
   // First app takes both Big slots with a long run.
   int a = rt.submit(suite[3], 3, 30, 0);  // AlexNet, heavy
   f.sim.run(sim::ms(5));
-  ASSERT_EQ(policy.binding(a), VersaSlotPolicy::Binding::kBig);
+  ASSERT_EQ(policy.binding(rt, a), VersaSlotPolicy::Binding::kBig);
   // Second app must fall back to Little...
   int b = rt.submit(suite[0], 0, 20, f.sim.now());
   (void)b;
@@ -125,12 +125,14 @@ TEST(VersaSlot, RedistributionGrantsExtraLittleSlots) {
   int id = rt.submit(app, 0, 20, 0);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    if (const auto* a = rt.find(id)) {
+      max_placed = std::max(max_placed, a->units_placed());
+    }
   }
   // With redistribution the lone app eventually holds more slots than any
   // reasonable primary allocation for a 6-task pipeline.
   EXPECT_EQ(max_placed, 6);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(VersaSlot, RedistributionDisabledCapsAtOptimal) {
@@ -144,10 +146,12 @@ TEST(VersaSlot, RedistributionDisabledCapsAtOptimal) {
   int optimal = apps::optimal_little_slots(app, 20, f.board.params(), 8);
   int max_placed = 0;
   while (f.sim.step()) {
-    max_placed = std::max(max_placed, rt.app(id).units_placed());
+    if (const auto* a = rt.find(id)) {
+      max_placed = std::max(max_placed, a->units_placed());
+    }
   }
   EXPECT_LE(max_placed, optimal);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(VersaSlot, OnlyLittleModeNeverUsesBigSlots) {
@@ -181,7 +185,7 @@ TEST(VersaSlot, BigBoundAppNeverTouchesLittleSlots) {
     }
   }
   EXPECT_FALSE(little_used_by_a);
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
   // 3 bundles through 2 big slots: exactly 3 PRs.
   EXPECT_EQ(rt.counters().pr_requests, 3);
 }
@@ -215,11 +219,11 @@ TEST(VersaSlot, BundleSizeOptionChangesUnitCount) {
   auto suite = apps::make_suite(f.board.params());
   int id = rt.submit(suite[1], 1, 10, 0);  // 6 tasks -> 3 pairs
   f.sim.run(sim::ms(5));
-  if (policy.binding(id) == VersaSlotPolicy::Binding::kBig) {
+  if (policy.binding(rt, id) == VersaSlotPolicy::Binding::kBig) {
     EXPECT_EQ(rt.app(id).units.size(), 3u);
   }
   f.sim.run();
-  EXPECT_TRUE(rt.app(id).done());
+  EXPECT_NE(test::completion(rt, id), nullptr);
 }
 
 TEST(VersaSlot, ManyAppsAllComplete) {
