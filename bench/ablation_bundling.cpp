@@ -22,6 +22,10 @@ int main(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
+  if (auto exit_code = util::check_flags(args, {"jobs N"},
+                                         std::cout, std::cerr)) {
+    return *exit_code;
+  }
   metrics::SweepRunner runner(util::resolve_jobs(&args));
 
   fpga::BoardParams params;

@@ -22,6 +22,10 @@ int main(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
+  if (auto exit_code = util::check_flags(args, {"jobs N", "apps N", "seqs N"},
+                                         std::cout, std::cerr)) {
+    return *exit_code;
+  }
   metrics::SweepRunner runner(util::resolve_jobs(&args));
   const int apps_per_seq = static_cast<int>(args.get_int("apps", 60));
   const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 3));

@@ -53,6 +53,10 @@ int main(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
+  if (auto exit_code = util::check_flags(args, {"jobs N", "apps N", "seqs N", "recovery MODE", "throttle defer|shed|off", "racks N", "rack-rate R", "ckpt-interval MS", "ckpt-granularity BYTES", "metrics-out PREFIX", "trace-out FILE", "journal-out FILE"},
+                                         std::cout, std::cerr)) {
+    return *exit_code;
+  }
   metrics::SweepRunner runner(util::resolve_jobs(&args));
   const int apps_per_seq = static_cast<int>(args.get_int("apps", 40));
   const int n_seqs_arg = static_cast<int>(args.get_int("seqs", 2));

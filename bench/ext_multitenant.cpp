@@ -107,6 +107,10 @@ int main(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
+  if (auto exit_code = util::check_flags(args, {"jobs N", "boards N", "rate R", "horizon S", "metrics-out PREFIX"},
+                                         std::cout, std::cerr)) {
+    return *exit_code;
+  }
   metrics::SweepRunner runner(util::resolve_jobs(&args));
   const double horizon_s = util::resolve_double(&args, "horizon", "VS_HORIZON", 20.0);
   const std::string metrics_out = obs::resolve_metrics_out(&args);

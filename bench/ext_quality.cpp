@@ -10,11 +10,17 @@
 #include "apps/benchmarks.h"
 #include "metrics/experiment.h"
 #include "metrics/quality.h"
+#include "util/cli.h"
 #include "util/table.h"
 #include "workload/generator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vs;
+
+  if (auto exit_code = util::check_flags(util::CliArgs(argc, argv), {},
+                                         std::cout, std::cerr)) {
+    return *exit_code;
+  }
 
   fpga::BoardParams params;
   auto suite = apps::make_suite(params);

@@ -33,6 +33,10 @@ int main(int argc, char** argv) {
   using namespace vs;
 
   util::CliArgs args(argc, argv);
+  if (auto exit_code = util::check_flags(args, {"metrics-out PREFIX", "trace-out FILE", "journal-out FILE", "precopy-rounds N"},
+                                         std::cout, std::cerr)) {
+    return *exit_code;
+  }
   // Telemetry capture (--metrics-out PREFIX or VS_METRICS) attaches to the
   // first workload's with-switching run — the run whose D_switch loop and
   // Aurora migrations the figure is about.

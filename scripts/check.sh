@@ -3,7 +3,9 @@
 # the substrate micro-benchmarks (which carry the event kernel's
 # zero-allocation probe, including the telemetry-handle overhead bench), the
 # telemetry demo, the export smokes of the fault, checkpoint, trace,
-# serving and rack benches and of simulate --trace, then the golden gate:
+# serving and rack benches and of simulate --trace (whose exported bytes
+# must hash to tests/golden/exports.sha256), a check that a bench CLI
+# rejects an unknown flag before doing any work, then the golden gate:
 # the committed CSVs at the repository root are regenerated in a temporary
 # directory and must match byte for byte. The benchmark's self-tests come next: every workload's
 # seed-2025 digest of simulated results must equal its pin, and traced and
@@ -85,15 +87,17 @@ echo "== causal trace + journal smoke (flow events, phases, journal) =="
 # A faulted traced replay must emit cross-board flow events (crash ->
 # evacuation -> readmission arrows), the phase histograms, and a
 # structured journal with the crash recorded.
+# The journal gets its own name: trace_smoke.jsonl is the time series
+# --metrics-out writes.
 (cd build && ./bench/ext_fault_resilience --apps 12 --seqs 1 \
   --metrics-out trace_smoke --trace-out trace_smoke.json \
-  --journal-out trace_smoke.jsonl >/dev/null)
+  --journal-out trace_smoke.journal.jsonl >/dev/null)
 grep -q '"ph":"s"' build/trace_smoke.json
 grep -q '"ph":"f"' build/trace_smoke.json
 grep -q 'vs_app_phase_ms' build/trace_smoke.prom
 grep -q '"phases": \[' build/trace_smoke.report.json
-grep -q '"event":"crash"' build/trace_smoke.jsonl
-grep -q '"event":"readmit"' build/trace_smoke.jsonl
+grep -q '"event":"crash"' build/trace_smoke.journal.jsonl
+grep -q '"event":"readmit"' build/trace_smoke.journal.jsonl
 # Its flow points land on round millisecond values (300000 us): every ts
 # and dur must still be a plain decimal, never exponent notation.
 if grep -qE '"(ts|dur)":-?[0-9.]*[eE]' build/trace_smoke.json; then
@@ -104,9 +108,9 @@ fi
 # one worker must write the same trace, journal and Prometheus file.
 (cd build && VS_JOBS=1 ./bench/ext_fault_resilience --apps 12 --seqs 1 \
   --metrics-out trace_smoke_j1 --trace-out trace_smoke_j1.json \
-  --journal-out trace_smoke_j1.jsonl >/dev/null)
+  --journal-out trace_smoke_j1.journal.jsonl >/dev/null)
 cmp build/trace_smoke.json build/trace_smoke_j1.json
-cmp build/trace_smoke.jsonl build/trace_smoke_j1.jsonl
+cmp build/trace_smoke.journal.jsonl build/trace_smoke_j1.journal.jsonl
 cmp build/trace_smoke.prom build/trace_smoke_j1.prom
 
 echo "== single-board Chrome trace smoke (plain-decimal ts/dur) =="
@@ -127,6 +131,26 @@ echo "== multi-tenant serving smoke (vs_tenant_* metrics in exports) =="
 grep -q 'vs_tenant_admitted_total' build/mt_smoke.prom
 grep -q 'vs_tenant_slo_miss_total' build/mt_smoke.prom
 grep -q 'vs_tenant_response_ms' build/mt_smoke.prom
+
+echo "== export golden gate: smoke exports match their recorded hashes =="
+# Every exporter is a pure function of the run it exports: the causal-trace
+# smoke's Chrome trace, journal and telemetry files and the serving smoke's
+# telemetry files must hash to the values recorded in tests/golden.
+(cd build && sha256sum --check --quiet ../tests/golden/exports.sha256)
+
+echo "== bench CLIs: unknown flags rejected, --help prints usage =="
+# Both exit before any work, so neither may leave a file behind.
+mt_bench="$(pwd)/build/bench/ext_multitenant"
+cli_dir="$(mktemp -d)"
+(cd "$cli_dir" && "$mt_bench" --help) | grep -q '^usage: ext_multitenant '
+status=0
+(cd "$cli_dir" && "$mt_bench" --bogus >/dev/null 2>&1) || status=$?
+if [[ "$status" != 2 || -n "$(ls -A "$cli_dir")" ]]; then
+  echo "ext_multitenant --bogus exited $status (want 2)," \
+    "files left: $(ls -A "$cli_dir")" >&2
+  exit 1
+fi
+rmdir "$cli_dir"
 
 echo "== rack chaos smoke (correlated failures, rack metrics in exports) =="
 # The rack sweep writes its CSV into the working directory; run from
@@ -171,9 +195,9 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 # Event-kernel (with the lazy arrival stream and the device FIFO), app-table
-# retirement, telemetry, fault, checkpoint, serving and cluster-switch
+# retirement, telemetry (with the buffered export writer), fault, checkpoint, serving and cluster-switch
 # suites: the memory-safety and undefined-behaviour passes share one filter.
-SANITIZE_FILTER='InlineEvent.*:EventQueue*:EventStream.*:Fifo.*:Simulator.*:Core.*:AppRetirement.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:Cluster.*:ClusterGolden.*:*SwitchLanding.*'
+SANITIZE_FILTER='InlineEvent.*:EventQueue*:EventStream.*:Fifo.*:Simulator.*:Core.*:AppRetirement.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:JsonEscape.*:ExportReference.*:ExportWriter.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:Cluster.*:ClusterGolden.*:*SwitchLanding.*'
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== AddressSanitizer: event kernel + telemetry =="

@@ -1,67 +1,63 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <ostream>
 #include <set>
 #include <sstream>
 
+#include "obs/export_writer.h"
 #include "sim/time.h"
 
 namespace vs::obs {
 namespace {
 
-/// Shortest round-trip decimal representation of a double (to_chars), so
-/// exports parse back to the exact value and carry no trailing noise.
-std::string fmt_double(double v) {
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, ptr);
-}
-
 /// Prometheus label-value escaping per the text exposition format: inside
 /// a quoted label value, backslash, double quote and newline must be
 /// escaped (and nothing else).
-std::string label_escape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
+void label_escape(ExportWriter& w, std::string_view v) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const char* esc = v[i] == '\\' ? "\\\\"
+                      : v[i] == '"'  ? "\\\""
+                      : v[i] == '\n' ? "\\n"
+                                     : nullptr;
+    if (esc == nullptr) continue;
+    w.raw(v.substr(run, i - run)).raw(esc);
+    run = i + 1;
   }
-  return out;
+  w.raw(v.substr(run));
 }
 
-/// Prometheus label block: `{k="v",...}` with `le` appended when present;
-/// empty string when there are no dimensions at all.
-std::string label_block(const Labels& labels, const std::string* le) {
-  if (labels.empty() && le == nullptr) return {};
-  std::string out = "{";
-  bool first = true;
+/// Prometheus label pairs `{k="v",...` without the closing brace; writes
+/// nothing when there are no labels.
+void label_pairs(ExportWriter& w, const Labels& labels) {
+  char sep = '{';
   for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += k + "=\"" + label_escape(v) + "\"";
+    w.raw(sep).raw(k).raw("=\"");
+    label_escape(w, v);
+    w.raw('"');
+    sep = ',';
   }
-  if (le != nullptr) {
-    if (!first) out += ',';
-    out += "le=\"" + *le + "\"";
-  }
-  out += '}';
-  return out;
+}
+
+/// Prometheus label block `{k="v",...}`; nothing when there are no labels.
+void label_block(ExportWriter& w, const Labels& labels) {
+  if (labels.empty()) return;
+  label_pairs(w, labels);
+  w.raw('}');
+}
+
+/// Opens a histogram bucket's label block up to the `le` value.
+void bucket_labels(ExportWriter& w, const Labels& labels) {
+  label_pairs(w, labels);
+  w.raw(labels.empty() ? "{le=\"" : ",le=\"");
 }
 
 /// Emits `# TYPE` once per metric name, in first-appearance order.
-void emit_type(std::ostream& out, std::set<std::string>& seen,
+void emit_type(ExportWriter& w, std::set<std::string>& seen,
                const std::string& name, const char* type) {
   if (seen.insert(name).second) {
-    out << "# TYPE " << name << ' ' << type << '\n';
+    w.raw("# TYPE ").raw(name).raw(' ').raw(type).raw('\n');
   }
 }
 
@@ -92,161 +88,152 @@ double merged_quantile(const std::vector<double>& bounds,
   return max;
 }
 
-void append_json_labels(std::string& out, const Labels& labels) {
-  out += '{';
+/// JSON object of label pairs, `{"k":"v",...}`.
+void json_labels(ExportWriter& w, const Labels& labels) {
+  w.raw('{');
   bool first = true;
   for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
+    if (!first) w.raw(',');
     first = false;
-    out += '"' + json_escape(k) + "\":\"" + json_escape(v) + '"';
+    w.raw('"').escaped(k).raw("\":\"").escaped(v).raw('"');
   }
-  out += '}';
+  w.raw('}');
+}
+
+/// Each row's time-series key `,"name{labels}":`, JSON-escaped.
+template <typename Rows>
+std::vector<std::string> column_keys(const Rows& rows) {
+  std::vector<std::string> keys;
+  keys.reserve(rows.size());
+  for (const auto& row : rows) {
+    std::string key = ",\"";
+    append_escaped(key, MetricsRegistry::full_name(row.name, row.labels));
+    key += "\":";
+    keys.push_back(std::move(key));
+  }
+  return keys;
 }
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_prometheus(const MetricsRegistry& registry, std::ostream& out) {
+  ExportWriter w(out);
   std::set<std::string> seen;
   for (const auto& row : registry.counters()) {
-    emit_type(out, seen, row.name, "counter");
-    out << row.name << label_block(row.labels, nullptr) << ' '
-        << row.cell.value() << '\n';
+    emit_type(w, seen, row.name, "counter");
+    w.raw(row.name);
+    label_block(w, row.labels);
+    w.raw(' ').integer(row.cell.value()).raw('\n');
   }
   for (const auto& row : registry.gauges()) {
-    emit_type(out, seen, row.name, "gauge");
-    out << row.name << label_block(row.labels, nullptr) << ' '
-        << fmt_double(row.cell.value()) << '\n';
+    emit_type(w, seen, row.name, "gauge");
+    w.raw(row.name);
+    label_block(w, row.labels);
+    w.raw(' ').number(row.cell.value()).raw('\n');
   }
   for (const auto& row : registry.histograms()) {
-    emit_type(out, seen, row.name, "histogram");
+    emit_type(w, seen, row.name, "histogram");
     const auto& bounds = row.cell.bounds();
     const auto& counts = row.cell.bucket_counts();
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       cumulative += counts[i];
-      std::string le = fmt_double(bounds[i]);
-      out << row.name << "_bucket" << label_block(row.labels, &le) << ' '
-          << cumulative << '\n';
+      w.raw(row.name).raw("_bucket");
+      bucket_labels(w, row.labels);
+      w.number(bounds[i]).raw("\"} ").integer(cumulative).raw('\n');
     }
-    std::string inf = "+Inf";
-    out << row.name << "_bucket" << label_block(row.labels, &inf) << ' '
-        << row.cell.count() << '\n';
-    out << row.name << "_sum" << label_block(row.labels, nullptr) << ' '
-        << fmt_double(row.cell.sum()) << '\n';
-    out << row.name << "_count" << label_block(row.labels, nullptr) << ' '
-        << row.cell.count() << '\n';
+    w.raw(row.name).raw("_bucket");
+    bucket_labels(w, row.labels);
+    w.raw("+Inf\"} ").integer(row.cell.count()).raw('\n');
+    w.raw(row.name).raw("_sum");
+    label_block(w, row.labels);
+    w.raw(' ').number(row.cell.sum()).raw('\n');
+    w.raw(row.name).raw("_count");
+    label_block(w, row.labels);
+    w.raw(' ').integer(row.cell.count()).raw('\n');
   }
+  w.flush();
 }
 
 void write_timeseries_jsonl(const Sampler& sampler,
                             const MetricsRegistry& registry,
                             std::ostream& out) {
+  // Gauges first, then counters — the order sample_now() recorded them.
+  // Keys are built once per export, not once per snapshot.
+  const std::vector<std::string> gauge_keys = column_keys(registry.gauges());
+  const std::vector<std::string> counter_keys =
+      column_keys(registry.counters());
+  ExportWriter w(out);
   for (const auto& snap : sampler.snapshots()) {
-    std::string line = "{\"t_ms\":" + fmt_double(sim::to_ms(snap.time));
-    std::size_t col = 0;
-    // Gauges first, then counters — the order sample_now() recorded them.
+    w.raw("{\"t_ms\":").number(sim::to_ms(snap.time));
     // A snapshot taken before later registrations is narrower; only emit
     // the columns it actually has.
-    for (const auto& row : registry.gauges()) {
-      if (col >= snap.gauge_count) break;
-      line += ",\"" +
-              json_escape(MetricsRegistry::full_name(row.name, row.labels)) +
-              "\":" + fmt_double(snap.values[col]);
-      ++col;
+    const std::size_t gauges = std::min(snap.gauge_count, gauge_keys.size());
+    for (std::size_t i = 0; i < gauges; ++i) {
+      w.raw(gauge_keys[i]).number(snap.values[i]);
     }
-    std::size_t counter_cols = snap.values.size() - snap.gauge_count;
-    std::size_t counter_idx = 0;
-    for (const auto& row : registry.counters()) {
-      if (counter_idx >= counter_cols) break;
-      line += ",\"" +
-              json_escape(MetricsRegistry::full_name(row.name, row.labels)) +
-              "\":" + fmt_double(snap.values[snap.gauge_count + counter_idx]);
-      ++counter_idx;
+    const std::size_t counters = std::min(
+        snap.values.size() - snap.gauge_count, counter_keys.size());
+    for (std::size_t i = 0; i < counters; ++i) {
+      w.raw(counter_keys[i]).number(snap.values[snap.gauge_count + i]);
     }
-    line += "}";
-    out << line << '\n';
+    w.raw("}\n");
   }
+  w.flush();
 }
 
 void write_run_report(const MetricsRegistry& registry, const RunInfo& info,
                       const Sampler* sampler, std::ostream& out) {
-  out << "{\n  \"experiment\": \"" << json_escape(info.experiment) << "\",\n";
-  out << "  \"config\": {";
+  ExportWriter w(out);
+  w.raw("{\n  \"experiment\": \"").escaped(info.experiment).raw("\",\n");
+  w.raw("  \"config\": {");
   bool first = true;
   for (const auto& [k, v] : info.config) {
-    if (!first) out << ", ";
+    if (!first) w.raw(", ");
     first = false;
-    out << '"' << json_escape(k) << "\": \"" << json_escape(v) << '"';
+    w.raw('"').escaped(k).raw("\": \"").escaped(v).raw('"');
   }
-  out << "},\n";
+  w.raw("},\n");
 
-  out << "  \"counters\": [\n";
+  w.raw("  \"counters\": [\n");
   first = true;
   for (const auto& row : registry.counters()) {
-    if (!first) out << ",\n";
+    if (!first) w.raw(",\n");
     first = false;
-    std::string labels;
-    append_json_labels(labels, row.labels);
-    out << "    {\"name\": \"" << json_escape(row.name)
-        << "\", \"labels\": " << labels << ", \"value\": " << row.cell.value()
-        << "}";
+    w.raw("    {\"name\": \"").escaped(row.name).raw("\", \"labels\": ");
+    json_labels(w, row.labels);
+    w.raw(", \"value\": ").integer(row.cell.value()).raw('}');
   }
-  out << "\n  ],\n";
+  w.raw("\n  ],\n");
 
-  out << "  \"gauges\": [\n";
+  w.raw("  \"gauges\": [\n");
   first = true;
   for (const auto& row : registry.gauges()) {
-    if (!first) out << ",\n";
+    if (!first) w.raw(",\n");
     first = false;
-    std::string labels;
-    append_json_labels(labels, row.labels);
-    out << "    {\"name\": \"" << json_escape(row.name)
-        << "\", \"labels\": " << labels
-        << ", \"value\": " << fmt_double(row.cell.value()) << "}";
+    w.raw("    {\"name\": \"").escaped(row.name).raw("\", \"labels\": ");
+    json_labels(w, row.labels);
+    w.raw(", \"value\": ").number(row.cell.value()).raw('}');
   }
-  out << "\n  ],\n";
+  w.raw("\n  ],\n");
 
-  out << "  \"histograms\": [\n";
+  w.raw("  \"histograms\": [\n");
   first = true;
   for (const auto& row : registry.histograms()) {
-    if (!first) out << ",\n";
+    if (!first) w.raw(",\n");
     first = false;
-    std::string labels;
-    append_json_labels(labels, row.labels);
     const Histogram& h = row.cell;
-    out << "    {\"name\": \"" << json_escape(row.name)
-        << "\", \"labels\": " << labels << ", \"count\": " << h.count()
-        << ", \"sum\": " << fmt_double(h.sum())
-        << ", \"mean\": " << fmt_double(h.mean())
-        << ", \"p50\": " << fmt_double(h.quantile(0.50))
-        << ", \"p95\": " << fmt_double(h.quantile(0.95))
-        << ", \"p99\": " << fmt_double(h.quantile(0.99))
-        << ", \"max\": " << fmt_double(h.max()) << "}";
+    w.raw("    {\"name\": \"").escaped(row.name).raw("\", \"labels\": ");
+    json_labels(w, row.labels);
+    w.raw(", \"count\": ").integer(h.count());
+    w.raw(", \"sum\": ").number(h.sum());
+    w.raw(", \"mean\": ").number(h.mean());
+    w.raw(", \"p50\": ").number(h.quantile(0.50));
+    w.raw(", \"p95\": ").number(h.quantile(0.95));
+    w.raw(", \"p99\": ").number(h.quantile(0.99));
+    w.raw(", \"max\": ").number(h.max()).raw('}');
   }
-  out << "\n  ],\n";
+  w.raw("\n  ],\n");
 
   // Per-phase response-time breakdown (PR 8): vs_app_phase_ms rows merged
   // across boards, one table row per phase label in first-appearance order.
@@ -291,111 +278,95 @@ void write_run_report(const MetricsRegistry& registry, const RunInfo& info,
     agg->max = std::max(agg->max, h.max());
   }
   if (!phases.empty()) {
-    out << "  \"phases\": [\n";
+    w.raw("  \"phases\": [\n");
     first = true;
     for (const PhaseAgg& p : phases) {
-      if (!first) out << ",\n";
+      if (!first) w.raw(",\n");
       first = false;
       double mean = p.count ? p.sum / static_cast<double>(p.count) : 0.0;
-      out << "    {\"phase\": \"" << json_escape(p.phase)
-          << "\", \"count\": " << p.count
-          << ", \"sum\": " << fmt_double(p.sum)
-          << ", \"mean\": " << fmt_double(mean) << ", \"p50\": "
-          << fmt_double(
-                 merged_quantile(*p.bounds, p.counts, p.count, p.max, 0.50))
-          << ", \"p95\": "
-          << fmt_double(
-                 merged_quantile(*p.bounds, p.counts, p.count, p.max, 0.95))
-          << ", \"p99\": "
-          << fmt_double(
-                 merged_quantile(*p.bounds, p.counts, p.count, p.max, 0.99))
-          << ", \"max\": " << fmt_double(p.max) << "}";
+      auto quantile = [&p](double q) {
+        return merged_quantile(*p.bounds, p.counts, p.count, p.max, q);
+      };
+      w.raw("    {\"phase\": \"").escaped(p.phase).raw('"');
+      w.raw(", \"count\": ").integer(p.count);
+      w.raw(", \"sum\": ").number(p.sum);
+      w.raw(", \"mean\": ").number(mean);
+      w.raw(", \"p50\": ").number(quantile(0.50));
+      w.raw(", \"p95\": ").number(quantile(0.95));
+      w.raw(", \"p99\": ").number(quantile(0.99));
+      w.raw(", \"max\": ").number(p.max).raw('}');
     }
-    out << "\n  ],\n";
+    w.raw("\n  ],\n");
   }
 
-  out << "  \"snapshots\": "
-      << (sampler != nullptr ? sampler->snapshots().size() : 0) << "\n}\n";
-}
-
-std::string prometheus_text(const MetricsRegistry& registry) {
-  std::ostringstream out;
-  write_prometheus(registry, out);
-  return out.str();
-}
-
-std::string timeseries_jsonl(const Sampler& sampler,
-                             const MetricsRegistry& registry) {
-  std::ostringstream out;
-  write_timeseries_jsonl(sampler, registry, out);
-  return out.str();
-}
-
-std::string run_report_json(const MetricsRegistry& registry,
-                            const RunInfo& info, const Sampler* sampler) {
-  std::ostringstream out;
-  write_run_report(registry, info, sampler, out);
-  return out.str();
+  w.raw("  \"snapshots\": ")
+      .integer(sampler != nullptr ? sampler->snapshots().size() : 0)
+      .raw("\n}\n");
+  w.flush();
 }
 
 std::string format_dashboard(const MetricsRegistry& registry,
                              const std::string& title) {
   std::ostringstream out;
-  std::string rule(64, '=');
-  out << rule << '\n' << "  " << title << '\n' << rule << '\n';
+  ExportWriter w(out);
+  const std::string rule(64, '=');
+  w.raw(rule).raw("\n  ").raw(title).raw('\n').raw(rule).raw('\n');
 
   auto name_width = [&registry] {
-    std::size_t w = 0;
+    std::size_t width = 0;
     for (const auto& row : registry.counters()) {
-      w = std::max(w,
-                   MetricsRegistry::full_name(row.name, row.labels).size());
+      width = std::max(
+          width, MetricsRegistry::full_name(row.name, row.labels).size());
     }
     for (const auto& row : registry.gauges()) {
-      w = std::max(w,
-                   MetricsRegistry::full_name(row.name, row.labels).size());
+      width = std::max(
+          width, MetricsRegistry::full_name(row.name, row.labels).size());
     }
     for (const auto& row : registry.histograms()) {
-      w = std::max(w,
-                   MetricsRegistry::full_name(row.name, row.labels).size());
+      width = std::max(
+          width, MetricsRegistry::full_name(row.name, row.labels).size());
     }
-    return std::min<std::size_t>(w, 56);
+    return std::min<std::size_t>(width, 56);
   }();
 
-  auto pad = [name_width](const std::string& s) {
-    std::string out = s;
-    if (out.size() < name_width) out.append(name_width - out.size(), ' ');
-    return out;
+  // "  <name padded to name_width>  ", the start of every row.
+  auto row_start = [&w, name_width](const std::string& name) {
+    w.raw("  ").raw(name);
+    if (name.size() < name_width) {
+      w.raw(std::string(name_width - name.size(), ' '));
+    }
+    w.raw("  ");
   };
 
   if (!registry.counters().empty()) {
-    out << "\n-- counters " << std::string(50, '-') << '\n';
+    w.raw("\n-- counters ").raw(std::string(50, '-')).raw('\n');
     for (const auto& row : registry.counters()) {
-      out << "  "
-          << pad(MetricsRegistry::full_name(row.name, row.labels)) << "  "
-          << row.cell.value() << '\n';
+      row_start(MetricsRegistry::full_name(row.name, row.labels));
+      w.integer(row.cell.value()).raw('\n');
     }
   }
   if (!registry.gauges().empty()) {
-    out << "\n-- gauges " << std::string(52, '-') << '\n';
+    w.raw("\n-- gauges ").raw(std::string(52, '-')).raw('\n');
     for (const auto& row : registry.gauges()) {
-      out << "  "
-          << pad(MetricsRegistry::full_name(row.name, row.labels)) << "  "
-          << fmt_double(row.cell.value()) << '\n';
+      row_start(MetricsRegistry::full_name(row.name, row.labels));
+      w.number(row.cell.value()).raw('\n');
     }
   }
   if (!registry.histograms().empty()) {
-    out << "\n-- histograms " << std::string(48, '-') << '\n';
+    w.raw("\n-- histograms ").raw(std::string(48, '-')).raw('\n');
     for (const auto& row : registry.histograms()) {
       const Histogram& h = row.cell;
-      out << "  " << pad(MetricsRegistry::full_name(row.name, row.labels))
-          << "  n=" << h.count();
+      row_start(MetricsRegistry::full_name(row.name, row.labels));
+      w.raw("n=").integer(h.count());
       if (h.count() > 0) {
         char line[160];
         std::snprintf(line, sizeof line,
                       "  mean=%.3g p50=%.3g p95=%.3g p99=%.3g max=%.3g",
                       h.mean(), h.quantile(0.5), h.quantile(0.95),
                       h.quantile(0.99), h.max());
-        out << line << "\n  " << pad("") << "  [";
+        w.raw(line).raw('\n');
+        row_start("");
+        w.raw('[');
         // Occupancy bar: one glyph per bucket scaled against the fullest.
         const auto& counts = h.bucket_counts();
         std::uint64_t peak = *std::max_element(counts.begin(), counts.end());
@@ -405,14 +376,15 @@ std::string format_dashboard(const MetricsRegistry& registry,
               peak == 0 ? 0
                         : static_cast<std::size_t>(
                               (static_cast<double>(c) / peak) * 9.0);
-          out << glyphs[level];
+          w.raw(glyphs[level]);
         }
-        out << "]";
+        w.raw(']');
       }
-      out << '\n';
+      w.raw('\n');
     }
   }
-  out << rule << '\n';
+  w.raw(rule).raw('\n');
+  w.flush();
   return out.str();
 }
 

@@ -8,6 +8,9 @@
 //  - a RunReport JSON document (config echo, final instrument values,
 //    histogram percentile summaries),
 //  - a dashboard-style ASCII summary (examples/telemetry_demo.cpp).
+//
+// All of them serialise through obs::ExportWriter (export_writer.h), which
+// hands bytes to the stream in bounded chunks.
 #pragma once
 
 #include <iosfwd>
@@ -34,19 +37,9 @@ void write_timeseries_jsonl(const Sampler& sampler,
 void write_run_report(const MetricsRegistry& registry, const RunInfo& info,
                       const Sampler* sampler, std::ostream& out);
 
-[[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry);
-[[nodiscard]] std::string timeseries_jsonl(const Sampler& sampler,
-                                           const MetricsRegistry& registry);
-[[nodiscard]] std::string run_report_json(const MetricsRegistry& registry,
-                                          const RunInfo& info,
-                                          const Sampler* sampler);
-
 /// Terminal-width ASCII summary: counters/gauges as aligned rows, histogram
 /// rows with count/mean/p50/p95/p99/max and a log-bucket occupancy bar.
 [[nodiscard]] std::string format_dashboard(const MetricsRegistry& registry,
                                            const std::string& title);
-
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace vs::obs

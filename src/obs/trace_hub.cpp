@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/export.h"
+#include "obs/export_writer.h"
 
 namespace vs::obs {
 
@@ -24,16 +23,6 @@ const char* span_category(sim::SpanKind kind) {
     case sim::SpanKind::kMarker: return "marker";
   }
   return "other";
-}
-
-// Shortest round-trip plain decimal for microsecond timestamps: fixed
-// notation, so round values print as 300000, never as 3e+05.
-std::string fmt_num(double v) {
-  char buf[64];
-  auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, ptr);
 }
 
 const char* flow_ph(FlowPhase phase) {
@@ -118,33 +107,41 @@ void ClusterTraceHub::seal() {
   }
 }
 
-std::vector<JournalRecord> ClusterTraceHub::merged_journal() const {
-  std::vector<JournalRecord> out;
-  for (const TraceChannel& ch : channels_) {
-    out.insert(out.end(), ch.journal().begin(), ch.journal().end());
+namespace {
+
+/// Pointers to every channel's records of one kind, stable-sorted by time:
+/// equal timestamps keep channel-creation then append order.
+template <typename Record, typename Records>
+std::vector<const Record*> merge_by_time(
+    const std::deque<TraceChannel>& channels, Records records) {
+  std::vector<const Record*> out;
+  for (const TraceChannel& ch : channels) {
+    for (const Record& r : records(ch)) out.push_back(&r);
   }
-  // Stable: equal timestamps keep channel-creation then append order.
   std::stable_sort(out.begin(), out.end(),
-                   [](const JournalRecord& a, const JournalRecord& b) {
-                     return a.time < b.time;
+                   [](const Record* a, const Record* b) {
+                     return a->time < b->time;
                    });
   return out;
 }
 
-std::vector<FlowPoint> ClusterTraceHub::merged_flows() const {
-  std::vector<FlowPoint> out;
-  for (const TraceChannel& ch : channels_) {
-    out.insert(out.end(), ch.flows().begin(), ch.flows().end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const FlowPoint& a, const FlowPoint& b) {
-                     return a.time < b.time;
-                   });
-  return out;
+}  // namespace
+
+std::vector<const JournalRecord*> ClusterTraceHub::merged_journal() const {
+  return merge_by_time<JournalRecord>(
+      channels_, [](const TraceChannel& ch) -> const auto& {
+        return ch.journal();
+      });
+}
+
+std::vector<const FlowPoint*> ClusterTraceHub::merged_flows() const {
+  return merge_by_time<FlowPoint>(
+      channels_,
+      [](const TraceChannel& ch) -> const auto& { return ch.flows(); });
 }
 
 void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
-  const std::vector<FlowPoint> flows = merged_flows();
+  const std::vector<const FlowPoint*> flows = merged_flows();
 
   // Processes: attached boards in attach order, then any board that only
   // appears as a flow endpoint (e.g. the cluster coordinator).
@@ -153,9 +150,9 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
   for (const std::string& b : boards) {
     pid.emplace(b, static_cast<int>(pid.size()) + 1);
   }
-  for (const FlowPoint& f : flows) {
-    if (pid.emplace(f.board, static_cast<int>(pid.size()) + 1).second) {
-      boards.push_back(f.board);
+  for (const FlowPoint* f : flows) {
+    if (pid.emplace(f->board, static_cast<int>(pid.size()) + 1).second) {
+      boards.push_back(f->board);
     }
   }
 
@@ -187,7 +184,7 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
     }
     for (const sim::TraceRecorder* rec : recorders_.at(b)) place(rec->spans());
   }
-  for (const FlowPoint& f : flows) intern_lane(f.board, f.lane);
+  for (const FlowPoint* f : flows) intern_lane(f->board, f->lane);
   std::stable_sort(placed.begin(), placed.end(),
                    [](const PlacedSpan& a, const PlacedSpan& b) {
                      if (a.span->start != b.span->start) {
@@ -196,48 +193,71 @@ void ClusterTraceHub::write_chrome_trace(std::ostream& out) const {
                      return a.pid < b.pid;
                    });
 
-  out << "[";
+  ExportWriter w(out);
+  w.raw('[');
   bool first = true;
   auto sep = [&] {
-    if (!first) out << ",";
+    if (!first) w.raw(',');
     first = false;
-    out << "\n";
+    w.raw('\n');
   };
 
   for (const std::string& b : boards) {
     sep();
-    out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid[b]
-        << ",\"args\":{\"name\":\"" << json_escape(b) << "\"}}";
+    w.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
+        .integer(pid[b])
+        .raw(",\"args\":{\"name\":\"")
+        .escaped(b)
+        .raw("\"}}");
     for (const std::string& lane : lane_order[b]) {
       sep();
-      out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid[b]
-          << ",\"tid\":" << lane_tid[b][lane] << ",\"args\":{\"name\":\""
-          << json_escape(lane) << "\"}}";
+      w.raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
+          .integer(pid[b])
+          .raw(",\"tid\":")
+          .integer(lane_tid[b][lane])
+          .raw(",\"args\":{\"name\":\"")
+          .escaped(lane)
+          .raw("\"}}");
     }
   }
 
   for (const PlacedSpan& p : placed) {
     sep();
-    out << "{\"name\":\"" << json_escape(p.span->label) << "\",\"cat\":\""
-        << span_category(p.span->kind) << "\",\"ph\":\"X\",\"pid\":" << p.pid
-        << ",\"tid\":" << p.tid << ",\"ts\":"
-        << fmt_num(static_cast<double>(p.span->start) / 1e3) << ",\"dur\":"
-        << fmt_num(static_cast<double>(p.span->end - p.span->start) / 1e3)
-        << "}";
+    w.raw("{\"name\":\"")
+        .escaped(p.span->label)
+        .raw("\",\"cat\":\"")
+        .raw(span_category(p.span->kind))
+        .raw("\",\"ph\":\"X\",\"pid\":")
+        .integer(p.pid)
+        .raw(",\"tid\":")
+        .integer(p.tid)
+        .raw(",\"ts\":")
+        .fixed(static_cast<double>(p.span->start) / 1e3)
+        .raw(",\"dur\":")
+        .fixed(static_cast<double>(p.span->end - p.span->start) / 1e3)
+        .raw('}');
   }
 
-  for (const FlowPoint& f : flows) {
+  for (const FlowPoint* f : flows) {
     sep();
-    out << "{\"name\":\"" << json_escape(f.name)
-        << "\",\"cat\":\"flow\",\"ph\":\"" << flow_ph(f.phase)
-        << "\",\"id\":" << f.id << ",\"pid\":" << pid[f.board]
-        << ",\"tid\":" << lane_tid[f.board][f.lane] << ",\"ts\":"
-        << fmt_num(static_cast<double>(f.time) / 1e3);
-    if (f.phase == FlowPhase::kEnd) out << ",\"bp\":\"e\"";
-    out << "}";
+    w.raw("{\"name\":\"")
+        .escaped(f->name)
+        .raw("\",\"cat\":\"flow\",\"ph\":\"")
+        .raw(flow_ph(f->phase))
+        .raw("\",\"id\":")
+        .integer(f->id)
+        .raw(",\"pid\":")
+        .integer(pid[f->board])
+        .raw(",\"tid\":")
+        .integer(lane_tid[f->board][f->lane])
+        .raw(",\"ts\":")
+        .fixed(static_cast<double>(f->time) / 1e3);
+    if (f->phase == FlowPhase::kEnd) w.raw(",\"bp\":\"e\"");
+    w.raw('}');
   }
 
-  out << "\n]\n";
+  w.raw("\n]\n");
+  w.flush();
 }
 
 void ClusterTraceHub::write_chrome_trace_file(const std::string& path) const {
@@ -247,19 +267,26 @@ void ClusterTraceHub::write_chrome_trace_file(const std::string& path) const {
 }
 
 void ClusterTraceHub::write_journal(std::ostream& out) const {
-  for (const JournalRecord& r : merged_journal()) {
-    out << "{\"t_ns\":" << r.time
-        << ",\"t_ms\":" << fmt_num(sim::to_ms(r.time)) << ",\"event\":\""
-        << to_string(r.event) << "\",\"board\":\"" << json_escape(r.board)
-        << "\"";
-    if (r.app >= 0) out << ",\"app\":" << r.app;
-    if (!r.spec.empty()) out << ",\"spec\":\"" << json_escape(r.spec) << "\"";
-    if (r.flow != 0) out << ",\"flow\":" << r.flow;
-    if (!r.detail.empty()) {
-      out << ",\"detail\":\"" << json_escape(r.detail) << "\"";
+  ExportWriter w(out);
+  for (const JournalRecord* r : merged_journal()) {
+    w.raw("{\"t_ns\":")
+        .integer(r->time)
+        .raw(",\"t_ms\":")
+        .fixed(sim::to_ms(r->time))
+        .raw(",\"event\":\"")
+        .raw(to_string(r->event))
+        .raw("\",\"board\":\"")
+        .escaped(r->board)
+        .raw('"');
+    if (r->app >= 0) w.raw(",\"app\":").integer(r->app);
+    if (!r->spec.empty()) w.raw(",\"spec\":\"").escaped(r->spec).raw('"');
+    if (r->flow != 0) w.raw(",\"flow\":").integer(r->flow);
+    if (!r->detail.empty()) {
+      w.raw(",\"detail\":\"").escaped(r->detail).raw('"');
     }
-    out << "}\n";
+    w.raw("}\n");
   }
+  w.flush();
 }
 
 void ClusterTraceHub::write_journal_file(const std::string& path) const {

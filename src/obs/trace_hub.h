@@ -173,10 +173,11 @@ class ClusterTraceHub {
   void write_journal_file(const std::string& path) const;
 
   /// All channels' journal records in canonical merged order
-  /// (time, then channel creation order, then append order).
-  [[nodiscard]] std::vector<JournalRecord> merged_journal() const;
-  /// All channels' flow points in the same canonical order.
-  [[nodiscard]] std::vector<FlowPoint> merged_flows() const;
+  /// (time, then channel creation order, then append order). The pointers
+  /// are into the channels: valid until the next record is appended.
+  [[nodiscard]] std::vector<const JournalRecord*> merged_journal() const;
+  /// All channels' flow points in the same canonical order, likewise.
+  [[nodiscard]] std::vector<const FlowPoint*> merged_flows() const;
 
  private:
   bool trace_ = false;

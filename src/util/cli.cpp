@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cstdlib>
+#include <ostream>
 
 namespace vs::util {
 
@@ -51,6 +52,41 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   return it->second != "false" && it->second != "0" && it->second != "no";
+}
+
+std::optional<int> check_flags(
+    const CliArgs& args, std::initializer_list<std::string_view> accepted,
+    std::ostream& out, std::ostream& err) {
+  auto name_of = [](std::string_view entry) {
+    return entry.substr(0, entry.find(' '));
+  };
+  std::string usage = "usage: " + args.program_.substr(
+                                      args.program_.find_last_of('/') + 1);
+  for (std::string_view entry : accepted) {
+    usage += " [--";
+    usage += entry;
+    usage += ']';
+  }
+  usage += " [--help]\n";
+
+  if (args.has("help")) {
+    out << usage;
+    return 0;
+  }
+  for (const auto& [flag, value] : args.flags_) {
+    bool known = false;
+    for (std::string_view entry : accepted) known |= name_of(entry) == flag;
+    if (!known) {
+      err << "unknown flag --" << flag << '\n' << usage;
+      return 2;
+    }
+  }
+  if (!args.positional_.empty()) {
+    err << "unexpected argument " << args.positional_.front() << '\n'
+        << usage;
+    return 2;
+  }
+  return std::nullopt;
 }
 
 std::int64_t resolve_int(const CliArgs* cli, const std::string& flag,

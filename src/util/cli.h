@@ -1,19 +1,24 @@
 // Minimal command-line flag parser for the example drivers: supports
 // --name value and --name=value forms, typed lookups with defaults, and
-// a generated usage string. No external dependencies.
+// a check of the parsed flags against the ones a CLI accepts, with a
+// generated usage line. No external dependencies.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vs::util {
 
 class CliArgs {
  public:
-  /// Parses argv; unknown flags are collected (the caller decides whether
-  /// they are errors). Positional arguments are kept in order.
+  /// Parses argv; every flag is collected, known or not (check_flags
+  /// decides which are errors). Positional arguments are kept in order.
   CliArgs(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;
@@ -34,10 +39,25 @@ class CliArgs {
   }
 
  private:
+  friend std::optional<int> check_flags(
+      const CliArgs& args, std::initializer_list<std::string_view> accepted,
+      std::ostream& out, std::ostream& err);
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// Checks parsed arguments against the flags a CLI accepts, before it does
+/// any work. Each entry of `accepted` is a flag name, optionally followed
+/// by a space and a value placeholder ("jobs N"); --help is always
+/// accepted. Returns the exit code to leave with, or nullopt to run:
+///  - --help prints the usage line to `out` and yields 0;
+///  - an unknown flag or a positional argument prints the offending
+///    argument and the usage line to `err` and yields 2.
+[[nodiscard]] std::optional<int> check_flags(
+    const CliArgs& args, std::initializer_list<std::string_view> accepted,
+    std::ostream& out, std::ostream& err);
 
 /// Generic knob resolution, same precedence as resolve_jobs
 /// (util/thread_pool.h): the `--flag` wins, then the `env` variable, then

@@ -1,5 +1,6 @@
 // Tests for the command-line flag parser.
 #include <cstdlib>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +62,38 @@ TEST(Cli, FlagFollowedByFlagIsBoolean) {
   CliArgs args = parse({"--a", "--b", "value"});
   EXPECT_EQ(args.get("a"), "true");
   EXPECT_EQ(args.get("b"), "value");
+}
+
+TEST(Cli, CheckFlagsRejectsUnknownFlagsWithUsageAndExitCode2) {
+  std::ostringstream out, err;
+  auto rc = check_flags(parse({"--jobs", "2", "--bogus"}),
+                        {"jobs N", "metrics-out PREFIX"}, out, err);
+  ASSERT_TRUE(rc.has_value());
+  EXPECT_EQ(*rc, 2);
+  EXPECT_EQ(out.str(), "");
+  EXPECT_EQ(err.str(),
+            "unknown flag --bogus\n"
+            "usage: prog [--jobs N] [--metrics-out PREFIX] [--help]\n");
+  // A stray positional argument is rejected the same way.
+  std::ostringstream err2;
+  EXPECT_EQ(check_flags(parse({"out.csv"}), {"jobs N"}, out, err2), 2);
+  EXPECT_EQ(err2.str().rfind("unexpected argument out.csv\n", 0), 0u);
+  // Accepted flags, in either form, let the CLI run.
+  EXPECT_EQ(check_flags(parse({"--jobs=2", "--metrics-out", "m"}),
+                        {"jobs N", "metrics-out PREFIX"}, out, err),
+            std::nullopt);
+  EXPECT_EQ(check_flags(parse({}), {}, out, err), std::nullopt);
+}
+
+TEST(Cli, CheckFlagsHelpPrintsUsageAndExitCode0) {
+  std::ostringstream out, err;
+  const char* argv[] = {"/build/bench/ext_multitenant", "--help", "--bogus"};
+  auto rc = check_flags(CliArgs(3, argv), {"boards N", "rate R"}, out, err);
+  ASSERT_TRUE(rc.has_value());
+  EXPECT_EQ(*rc, 0);
+  EXPECT_EQ(out.str(),
+            "usage: ext_multitenant [--boards N] [--rate R] [--help]\n");
+  EXPECT_EQ(err.str(), "");
 }
 
 TEST(Log, ParseLogLevelIsCaseInsensitiveWithFallback) {

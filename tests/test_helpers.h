@@ -1,12 +1,13 @@
 // Shared helpers for tests: compact synthetic application builders, a
 // trivial manually-driven policy for exercising the BoardRuntime directly,
-// and the app conservation-law assertion shared by every fault/recovery
-// suite.
+// the app conservation-law assertion shared by every fault/recovery suite,
+// and a string capture of the ostream exporters.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,15 @@
 #include "runtime/policy.h"
 
 namespace vs::test {
+
+/// Everything `write` sends to the std::ostream it is handed, as a string:
+/// `exported([&](std::ostream& out) { obs::write_prometheus(r, out); })`.
+template <typename Write>
+std::string exported(Write write) {
+  std::ostringstream out;
+  write(out);
+  return out.str();
+}
 
 /// The app conservation law for a drained fault run: every submitted app
 /// ends in exactly one bucket — completed, lost with its board (recovery

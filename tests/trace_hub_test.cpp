@@ -22,6 +22,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace_hub.h"
 #include "sim/trace.h"
+#include "test_helpers.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -230,11 +231,11 @@ TEST(RunJournal, MergeIsStableAcrossEqualTimestamps) {
   first.journal(50, JournalEvent::kAdmit, "first");
   auto merged = hub.merged_journal();
   ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].time, 50);
+  EXPECT_EQ(merged[0]->time, 50);
   // Equal timestamps keep channel-creation order: "first" was created
   // first, so its t=100 record precedes "second"'s.
-  EXPECT_EQ(merged[1].board, "first");
-  EXPECT_EQ(merged[2].board, "second");
+  EXPECT_EQ(merged[1]->board, "first");
+  EXPECT_EQ(merged[2]->board, "second");
 }
 
 // -------------------------------------------------------------- resolvers
@@ -425,12 +426,12 @@ TEST(PhaseAccounting, FaultedClusterTraceCarriesCausalChains) {
   // lands on a board process; both hops share the flow id.
   auto flows = hub.merged_flows();
   bool crash_chain_closed = false;
-  for (const FlowPoint& s : flows) {
-    if (s.phase != FlowPhase::kStart || s.name.rfind("crash", 0) != 0) {
+  for (const FlowPoint* s : flows) {
+    if (s->phase != FlowPhase::kStart || s->name.rfind("crash", 0) != 0) {
       continue;
     }
-    for (const FlowPoint& f : flows) {
-      if (f.id == s.id && f.phase == FlowPhase::kEnd) {
+    for (const FlowPoint* f : flows) {
+      if (f->id == s->id && f->phase == FlowPhase::kEnd) {
         crash_chain_closed = true;
       }
     }
@@ -469,7 +470,9 @@ TEST(PhaseAccounting, HistogramsRegisterOnlyWhenEnabledAndReconcile) {
     Telemetry telemetry;
     (void)metrics::run_cluster(suite, seq, {}, sim::seconds(36000.0),
                                &telemetry);
-    EXPECT_EQ(prometheus_text(telemetry.registry()).find("vs_app_phase_ms"),
+    EXPECT_EQ(test::exported([&](std::ostream& out) {
+                write_prometheus(telemetry.registry(), out);
+              }).find("vs_app_phase_ms"),
               std::string::npos);
   }
 
@@ -507,8 +510,9 @@ TEST(PhaseAccounting, HistogramsRegisterOnlyWhenEnabledAndReconcile) {
   EXPECT_NEAR(phase_sum, response_sum, 1e-6 * std::max(1.0, response_sum));
 
   // The run report renders the reconciled per-phase table.
-  std::string report =
-      run_report_json(telemetry.registry(), telemetry.info(), nullptr);
+  std::string report = test::exported([&](std::ostream& out) {
+    write_run_report(telemetry.registry(), telemetry.info(), nullptr, out);
+  });
   EXPECT_NE(report.find("\"phases\": ["), std::string::npos);
   for (std::size_t p = 0; p < runtime::kAppPhaseCount; ++p) {
     EXPECT_NE(report.find(std::string("{\"phase\": \"") +
