@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
   auto cells = runner.run(suite, grid);
   // Per-spec completion split over the Big.Little dynamic-check replicas:
   // apps of this spec that completed, and of those, how many passed
-  // through a recovery phase (zero here — no faults are injected — but
-  // the schema stays aligned with faulted reruns).
+  // through a recovery phase. A single board never crashes, so the
+  // recovering column is always zero; it is kept so that the committed CSV
+  // stays unchanged.
   std::vector<int> dyn_completed(suite.size(), 0);
   std::vector<int> dyn_recovering(suite.size(), 0);
   for (std::size_t i = 0; i < sequences.size(); ++i) {

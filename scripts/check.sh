@@ -197,7 +197,7 @@ fi
 # Event-kernel (with the lazy arrival stream and the device FIFO), app-table
 # retirement, telemetry (with the buffered export writer), fault, checkpoint, serving and cluster-switch
 # suites: the memory-safety and undefined-behaviour passes share one filter.
-SANITIZE_FILTER='InlineEvent.*:EventQueue*:EventStream.*:Fifo.*:Simulator.*:Core.*:AppRetirement.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:JsonEscape.*:ExportReference.*:ExportWriter.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:SingleBoardFaults.*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:Cluster.*:ClusterGolden.*:*SwitchLanding.*'
+SANITIZE_FILTER='InlineEvent.*:EventQueue*:EventStream.*:Fifo.*:Simulator.*:Core.*:AppRetirement.*:MetricsRegistry.*:MetricsHandles.*:Histogram.*:PrometheusExport.*:JsonlExport.*:RunReportExport.*:JsonEscape.*:ExportReference.*:ExportWriter.*:Sampler.*:Telemetry*:TraceRecorder.*:TraceHub.*:TraceExport.*:RunJournal.*:PrometheusEscaping.*:PhaseAccounting.*:FaultScenario.*:FaultPlane.*:FaultPlaneValidation.*:AuroraFlap.*:SlotSeu.*:BoardCrash.*:FaultRecovery.*:FaultDeterminism.*:RackEvents.*:RackGolden.*:*ChaosCampaign*:SparePoolExhausted.*:Checkpoint*:DirtyMapUnit.*:Precopy*:ArrivalProcess.*:ServeAdmission.*:ServePlane.*:Cluster.*:ClusterGolden.*:*SwitchLanding.*'
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== AddressSanitizer: event kernel + telemetry =="

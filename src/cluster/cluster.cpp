@@ -13,6 +13,13 @@ namespace vs::cluster {
 
 namespace {
 
+// Stabilisation of the D_switch loop: samples to observe before it may act,
+// and the minimum candidate-queue depth for an upward switch (early samples
+// are noisy — a couple of blocked PRs against a near-empty queue can spike
+// the ratio without any sustained contention).
+constexpr int kWarmupSamples = 4;
+constexpr int kMinQueueForSwitch = 4;
+
 const char* config_name(core::SwitchLoop::Config config) {
   return config == core::SwitchLoop::Config::kBigLittle ? "Big.Little"
                                                         : "Only.Little";
@@ -350,15 +357,15 @@ void Cluster::sample_and_act() {
   m_active_apps_.set(sample.apps);
 
   if (!options_.enable_switching) return;
-  if (static_cast<int>(monitor_.trace().size()) <= options_.warmup_samples) {
+  if (static_cast<int>(monitor_.trace().size()) <= kWarmupSamples) {
     return;
   }
   if (loop_.config() == core::SwitchLoop::Config::kOnlyLittle &&
-      sample.apps < options_.min_queue_for_switch) {
+      sample.apps < kMinQueueForSwitch) {
     return;  // no sustained backlog: an upward switch would thrash
   }
   if (loop_.config() == core::SwitchLoop::Config::kBigLittle &&
-      sample.apps > options_.min_queue_for_switch) {
+      sample.apps > kMinQueueForSwitch) {
     return;  // backlog persists: keep the contention-friendly fabric
   }
 
@@ -777,10 +784,7 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
       static_cast<int>(evacuable.size()) + static_cast<int>(killed.size());
   if (displaced == 0) {
     // Empty board: the repair window is detection alone.
-    sim::SimDuration mttr = sim_.now() - crash_time;
-    recovery_stats_.mttr_total += mttr;
-    ++recovery_stats_.mttr_count;
-    m_mttr_.observe(sim::to_ms(mttr));
+    record_mttr(crash_time);
     return;
   }
   if (ro.mode == RecoveryOptions::Mode::kNone) {
@@ -829,10 +833,7 @@ void Cluster::handle_crash(std::vector<MigratedApp> evacuable,
   }
   for (MigratedApp& m : fresh) keep.push_back(std::move(m));
   if (keep.empty()) {
-    sim::SimDuration mttr = sim_.now() - crash_time;
-    recovery_stats_.mttr_total += mttr;
-    ++recovery_stats_.mttr_count;
-    m_mttr_.observe(sim::to_ms(mttr));
+    record_mttr(crash_time);
     return;
   }
   for (const MigratedApp& m : keep) {
@@ -913,26 +914,31 @@ void Cluster::place_displaced(MigratedApp app,
     readmit_queue_.push_back(ReadmitEntry{std::move(app), ticket});
     return;
   }
-  const apps::AppSpec& spec =
-      suite_.at(static_cast<std::size_t>(app.spec_index));
+  resume_displaced(*rt, app, ticket);
+}
+
+void Cluster::resume_displaced(runtime::BoardRuntime& rt,
+                               const MigratedApp& app,
+                               const std::shared_ptr<CrashTicket>& ticket) {
   if (ticket != nullptr && ticket->flow != 0 && !ticket->flow_done) {
     obs_->flow(ticket->flow, obs::FlowPhase::kEnd, sim_.now(),
-               rt->board().name(), "recovery", "readmit");
+               rt.board().name(), "recovery", "readmit");
     ticket->flow_done = true;
   }
-  rt->submit_migrated(spec, app, runtime::AppPhase::kRecovery);
-  m_evac_latency_.observe(sim::to_ms(sim_.now() - ticket->crash_time));
-  finish_ticket(ticket);
+  rt.submit_migrated(suite_.at(static_cast<std::size_t>(app.spec_index)),
+                     app, runtime::AppPhase::kRecovery);
+  if (ticket != nullptr) {
+    m_evac_latency_.observe(sim::to_ms(sim_.now() - ticket->crash_time));
+    if (--ticket->remaining == 0) record_mttr(ticket->crash_time);
+  }
   on_queue_update();
 }
 
-void Cluster::finish_ticket(const std::shared_ptr<CrashTicket>& ticket) {
-  if (--ticket->remaining == 0) {
-    sim::SimDuration mttr = sim_.now() - ticket->crash_time;
-    recovery_stats_.mttr_total += mttr;
-    ++recovery_stats_.mttr_count;
-    m_mttr_.observe(sim::to_ms(mttr));
-  }
+void Cluster::record_mttr(sim::SimTime crash_time) {
+  sim::SimDuration mttr = sim_.now() - crash_time;
+  recovery_stats_.mttr_total += mttr;
+  ++recovery_stats_.mttr_count;
+  m_mttr_.observe(sim::to_ms(mttr));
 }
 
 void Cluster::drain_readmit_queue() {
@@ -943,25 +949,13 @@ void Cluster::drain_readmit_queue() {
     readmit_queue_.pop_front();
     ++recovery_stats_.readmissions;
     m_readmitted_.add();
-    const apps::AppSpec& spec =
-        suite_.at(static_cast<std::size_t>(entry.app.spec_index));
     if (obs_ != nullptr && obs_->journal_on()) {
-      obs_->journal(sim_.now(), obs::JournalEvent::kReadmit,
-                    rt->board().name(), -1, spec.name,
-                    entry.ticket != nullptr ? entry.ticket->flow : 0);
+      obs_->journal(
+          sim_.now(), obs::JournalEvent::kReadmit, rt->board().name(), -1,
+          suite_.at(static_cast<std::size_t>(entry.app.spec_index)).name,
+          entry.ticket != nullptr ? entry.ticket->flow : 0);
     }
-    if (entry.ticket != nullptr && entry.ticket->flow != 0 &&
-        !entry.ticket->flow_done) {
-      obs_->flow(entry.ticket->flow, obs::FlowPhase::kEnd, sim_.now(),
-                 rt->board().name(), "recovery", "readmit");
-      entry.ticket->flow_done = true;
-    }
-    rt->submit_migrated(spec, entry.app, runtime::AppPhase::kRecovery);
-    if (entry.ticket != nullptr) {
-      m_evac_latency_.observe(sim::to_ms(sim_.now() - entry.ticket->crash_time));
-      finish_ticket(entry.ticket);
-    }
-    on_queue_update();
+    resume_displaced(*rt, entry.app, entry.ticket);
   }
 }
 

@@ -117,12 +117,6 @@ struct ClusterOptions {
   // below the metric's theoretical (0,1) bound.
   double t1 = 0.030;  ///< upper threshold (Only.Little -> Big.Little)
   double t2 = 0.008;  ///< lower threshold (Big.Little -> Only.Little)
-  /// Stabilisation: samples to observe before the loop may act, and the
-  /// minimum candidate-queue depth for an upward switch (early samples are
-  /// noisy — a couple of blocked PRs against a near-empty queue can spike
-  /// the ratio without any sustained contention).
-  int warmup_samples = 4;
-  int min_queue_for_switch = 4;
   int dswitch_period = 4;           ///< queue updates between recalcs
   bool enable_switching = true;
   bool enable_prewarm = true;
@@ -342,7 +336,7 @@ class Cluster {
   };
   struct ReadmitEntry {
     MigratedApp app;
-    std::shared_ptr<CrashTicket> ticket;  ///< null for deferred arrivals
+    std::shared_ptr<CrashTicket> ticket;  ///< null: held arrival or landing
   };
   /// Rack-mode batched detection: board losses landing inside one
   /// detection window (the signature of a common-mode rack event) coalesce
@@ -360,9 +354,18 @@ class Cluster {
   void handle_crash(std::vector<MigratedApp> evacuable,
                     std::vector<MigratedApp> killed, sim::SimTime crash_time,
                     std::uint64_t flow);
+  /// Places a displaced app on the least-loaded active board, or queues it
+  /// for re-admission when the whole active pool is down.
   void place_displaced(MigratedApp app,
                        const std::shared_ptr<CrashTicket>& ticket);
-  void finish_ticket(const std::shared_ptr<CrashTicket>& ticket);
+  /// The one resume path of a displaced app (evacuated, restored,
+  /// restarted, or queued and re-admitted): closes the crash flow, submits
+  /// with AppPhase::kRecovery and charges the app to its crash ticket.
+  /// `ticket` is null for held arrivals and queued switch landings.
+  void resume_displaced(runtime::BoardRuntime& rt, const MigratedApp& app,
+                        const std::shared_ptr<CrashTicket>& ticket);
+  /// MTTR of one crash, measured up to now.
+  void record_mttr(sim::SimTime crash_time);
   void drain_readmit_queue();
   [[nodiscard]] bool board_usable(const fpga::Board* board) const;
 

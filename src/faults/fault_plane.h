@@ -22,9 +22,10 @@
 // The plane flips its own board-up/link-up registers and surfaces every
 // transition as a HealthEvent to a single handler. It never touches
 // runtimes or the Aurora link itself, so it depends only on sim/fpga/obs
-// and is reusable under any control plane: the cluster manager's recovery
-// policy, and the single-board harness's hold-and-readmit loop
-// (metrics::run_single_board) both drive recovery off the same events.
+// and is reusable under any control plane. Its one recovery layer is the
+// cluster manager (cluster::Cluster), the only code that crashes, reboots
+// and re-admits board epochs off these events; the single-board harness
+// (metrics::run_single_board) runs fault-free.
 #pragma once
 
 #include <functional>

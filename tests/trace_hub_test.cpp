@@ -313,31 +313,12 @@ TEST(PhaseAccounting, PhasesSumExactlyToResponseAcrossScenarios) {
       std::string label = "seed " + std::to_string(seed) + " scenario " +
                           std::to_string(scenario);
       expect_phases_sum_to_response(r.apps, label.c_str());
+      if (scenario >= 1) {
+        // The crash charged recovery transit to at least one app.
+        EXPECT_GT(metrics::recovered_completions(r.apps), 0) << label;
+      }
     }
   }
-}
-
-TEST(PhaseAccounting, PhasesSumExactlyToResponseOnFaultedSingleBoard) {
-  fpga::BoardParams params;
-  auto suite = apps::make_suite(params);
-  workload::Sequence seq = stress_sequence(2025, 15);
-  metrics::RunOptions opts;
-  opts.phase_accounting = true;
-  opts.faults = faulty_scenario();
-  metrics::RunResult r = metrics::run_single_board(
-      metrics::SystemKind::kVersaBigLittle, suite, seq, opts);
-  expect_phases_sum_to_response(r.apps, "single-board faulted");
-  // The fault path was actually exercised.
-  EXPECT_GT(r.recovery.boards_crashed, 0);
-  // Recovery transit shows up in the account of at least one app.
-  bool recovery_charged = false;
-  for (const runtime::CompletedApp& c : r.apps) {
-    if (c.phase_ns[static_cast<std::size_t>(runtime::AppPhase::kRecovery)] >
-        0) {
-      recovery_charged = true;
-    }
-  }
-  EXPECT_TRUE(recovery_charged);
 }
 
 TEST(PhaseAccounting, ObservabilityDoesNotPerturbAFaultedClusterRun) {
